@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as K
 from .core import (
     BoundaryError,
     Density,
@@ -59,7 +58,7 @@ def _check_outcome(space: ProductSpace, x: int) -> int:
 def marginalize(q12: Density) -> Density:
     """First margin q1(x) = sum_z q12(x, z) mu2(z)."""
     space = _joint_space(q12)
-    return Density(space.left, K.row_margin(q12.values, space.right.weights))
+    return Density(space.left, q12.values @ space.right.weights)
 
 
 def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
@@ -70,7 +69,8 @@ def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
     """
     space = _joint_space(q12)
     _require_same_base(v, q12)
-    vals = K.cond_expect(v.values, q12.values, space.right.weights)
+    weighted = q12.values * space.right.weights
+    vals = (v.values * weighted).sum(axis=1) / weighted.sum(axis=1)
     return FiberVector(marginalize(q12), vals, v.polarity)
 
 
@@ -92,7 +92,7 @@ def conditional_derivative(q12: Density, x: int, v: FiberVector) -> FiberVector:
     x = _check_outcome(space, x)
     _require_same_base(v, q12)
     cond = condition(q12, x)
-    mean = K.dot3(v.values[x], cond.values, space.right.weights)
+    mean = float(np.sum(v.values[x] * cond.values * space.right.weights))
     return FiberVector(cond, v.values[x] - mean, v.polarity)
 
 
@@ -112,7 +112,7 @@ def condition_chart_expression(
     p12 = product_density(p1, p2)
     _require_same_base(v, p12)
     x = _check_outcome(p12.space, x)
-    m = K.dot3(v.values[x], p2.values, p2.space.weights)
+    m = float(np.sum(v.values[x] * p2.values * p2.space.weights))
     denom = 1.0 + m
     if denom <= 0.0:
         raise BoundaryError(
@@ -138,8 +138,8 @@ def condition_chart_derivative(
     _require_same_base(h, p12)
     x = _check_outcome(p12.space, x)
     fx = condition_chart_expression(p1, p2, x, v)
-    m_v = K.dot3(v.values[x], p2.values, p2.space.weights)
-    m_h = K.dot3(h.values[x], p2.values, p2.space.weights)
+    m_v = float(np.sum(v.values[x] * p2.values * p2.space.weights))
+    m_h = float(np.sum(h.values[x] * p2.values * p2.space.weights))
     vals = (h.values[x] - m_h - fx.values * m_h) / (1.0 + m_v)
     return FiberVector(p2, vals, "mixture")
 

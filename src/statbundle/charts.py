@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels as K
 from .core import (
     BoundaryError,
     Density,
@@ -63,9 +62,13 @@ def cumulant(p: Density, u: FiberVector) -> float:
     Nonnegative, zero exactly at u = 0 (strict convexity of exp).
     """
     _require_same_base(u, p)
-    return K.log_mean_exp(
-        u.values.ravel(), (p.values * p.space.weights).ravel()
-    )
+    vals = u.values.ravel()
+    w = (p.values * p.space.weights).ravel()
+    m = float(np.max(vals))
+    s = float(np.sum(w * np.exp(vals - m)))
+    # Dividing by sum(w) rather than 1 pins cumulant(p, 0) == 0 exactly,
+    # even when the weights only sum to 1 up to float round-off.
+    return m + np.log(s) - np.log(float(np.sum(w)))
 
 
 def exp_chart(p: Density, q: Density) -> FiberVector:

@@ -24,8 +24,6 @@ from typing import Literal, Union
 
 import numpy as np
 
-from . import _kernels as K
-
 NORMALIZATION_ATOL = 1e-12
 RENORMALIZE_LIMIT = 1e-6
 FIBER_ATOL = 1e-12
@@ -237,10 +235,12 @@ class FiberVector:
         if self.polarity not in _POLARITIES:
             raise StatBundleError(f"unknown polarity {self.polarity!r}")
         residual = abs(
-            K.dot3(
-                vals.ravel(),
-                self.base.values.ravel(),
-                self.base.space.weights.ravel(),
+            float(
+                np.sum(
+                    vals.ravel()
+                    * self.base.values.ravel()
+                    * self.base.space.weights.ravel()
+                )
             )
         )
         if residual > FIBER_ATOL:
@@ -296,18 +296,20 @@ def expect(q: Density, f) -> float:
             f"integrand shape {arr.shape} does not match density shape "
             f"{q.values.shape}"
         )
-    return K.dot3(arr.ravel(), q.values.ravel(), q.space.weights.ravel())
+    return float(np.sum(arr.ravel() * q.values.ravel() * q.space.weights.ravel()))
 
 
 def pairing(q: Density, w: FiberVector, v: FiberVector) -> float:
     """Covariance pairing <w, v>_q = E_q[w * v]; symmetric in w and v."""
     _require_same_base(w, q)
     _require_same_base(v, q)
-    return K.dot4(
-        w.values.ravel(),
-        v.values.ravel(),
-        q.values.ravel(),
-        q.space.weights.ravel(),
+    return float(
+        np.sum(
+            w.values.ravel()
+            * v.values.ravel()
+            * q.values.ravel()
+            * q.space.weights.ravel()
+        )
     )
 
 

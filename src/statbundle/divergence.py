@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels as K
 from .core import (
     Density,
     FiberVector,
@@ -33,7 +32,8 @@ from .charts import exp_chart, mix_chart
 def kl(q: Density, r: Density) -> float:
     """D(q||r) = sum(q * log(q/r) * mu) >= 0, zero iff q == r."""
     _require_same_space(q.space, r.space)
-    return K.kl_sum(q.values.ravel(), r.values.ravel(), q.space.weights.ravel())
+    qv = q.values.ravel()
+    return float(np.sum(q.space.weights.ravel() * qv * np.log(qv / r.values.ravel())))
 
 
 def structural_reconstruct(p: Density, q: Density) -> Density:
@@ -104,7 +104,7 @@ def common_param_gradient(M: Density, N: Density, dlogM, dlogN) -> np.ndarray:
     gap = nvals - mvals
     out = np.empty(len(dM))
     for j, (a, b) in enumerate(zip(dM, dN)):
-        out[j] = K.dot4(mu, logratio, mvals, a.ravel()) + K.dot3(
-            mu, gap, b.ravel()
+        out[j] = float(np.sum(mu * logratio * mvals * a.ravel())) + float(
+            np.sum(mu * gap * b.ravel())
         )
     return out

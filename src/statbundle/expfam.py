@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as K
 from .core import (
     Density,
     FiberVector,
@@ -112,7 +111,7 @@ def _check_theta(family: ExpFamily, theta) -> np.ndarray:
 
 def _natural_statistic(family: ExpFamily, theta: np.ndarray) -> FiberVector:
     return FiberVector(
-        family.base12, K.lincomb(family.stats, theta), "exponential"
+        family.base12, np.tensordot(theta, family.stats, axes=1), "exponential"
     )
 
 
@@ -135,7 +134,7 @@ def grad_psi(family: ExpFamily, theta) -> np.ndarray:
     """grad psi(theta) = E_{G(theta)}[T], one entry per statistic."""
     theta = _check_theta(family, theta)
     g = density(family, theta)
-    return K.stats_expect(family.stats, g.values * g.space.weights)
+    return _stats_expect(family, g)
 
 
 def joint_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
@@ -143,7 +142,7 @@ def joint_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
     theta = _check_theta(family, theta)
     thetadot = _check_theta(family, thetadot)
     g = density(family, theta)
-    vals = K.lincomb(family.stats, thetadot) - float(
+    vals = np.tensordot(thetadot, family.stats, axes=1) - float(
         thetadot @ grad_psi(family, theta)
     )
     return FiberVector(g, vals, "exponential")
@@ -170,11 +169,17 @@ def conditional_velocity(family: ExpFamily, theta, thetadot, x: int) -> FiberVec
     return FiberVector(cond, vals, "exponential")
 
 
+def _stats_expect(family: ExpFamily, g: Density) -> np.ndarray:
+    """E_G[T_j] for each statistic, as a length-d vector."""
+    stats = family.stats
+    return stats.reshape(stats.shape[0], -1) @ (g.values * g.space.weights).ravel()
+
+
 def _centered_conditional_stats(family: ExpFamily, g: Density) -> np.ndarray:
     """E_G[T_j - E_G[T_j] | X = x] as a (d, n1) table."""
-    raw = K.cond_expect_stats(family.stats, g.values, family.space.right.weights)
-    totals = K.stats_expect(family.stats, g.values * g.space.weights)
-    return raw - totals[:, None]
+    weighted = g.values * family.space.right.weights
+    raw = (family.stats * weighted).sum(axis=2) / weighted.sum(axis=1)
+    return raw - _stats_expect(family, g)[:, None]
 
 
 def _check_margin(family: ExpFamily, r1: Density) -> Density:

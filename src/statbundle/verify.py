@@ -8,7 +8,7 @@ reports the worst residual seen.  Exact affine identities are held to
 derivative is compared against the central-difference oracle at 1e-6.
 
 Enumeration oracles here are written as plain Python loops over outcomes
-on purpose: they must not share code with the array kernels they check.
+on purpose: they must not share code with the array code they check.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .bayes import (
 )
 from .expfam import (
     ExpFamily,
+    IdentifiabilityError,
     density,
     grad_psi,
     joint_velocity,
@@ -124,7 +125,15 @@ def _random_family(
     p1 = random_density(space.left, rng)
     p2 = random_density(space.right, rng)
     d = int(rng.integers(1, 4))
-    family = make_expfam(p1, p2, rng.standard_normal((d, n1, n2)))
+    while True:
+        try:
+            family = make_expfam(p1, p2, rng.standard_normal((d, n1, n2)))
+            break
+        except IdentifiabilityError:
+            # A nearly dependent draw: take the next one from the same
+            # stream.  Spaces have at least 2 outcomes, so the centred
+            # statistics live in at least 3 dimensions and d <= 3 fit.
+            continue
     theta = rng.uniform(-1.0, 1.0, d)
     return family, theta
 

@@ -1,14 +1,6 @@
 import pytest
 
 import statbundle as sb
-from statbundle import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # Compile the numba kernels once up front so JIT latency never lands
-    # inside a timed assertion.
-    _kernels.warmup()
 
 
 @pytest.fixture

@@ -1,8 +1,5 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line with the worst residual against its contractual tolerance.
-
-Kernel JIT warmup happens in the session fixture, so the timed criteria
-measure the algorithms, not compiler latency.
 """
 
 import math

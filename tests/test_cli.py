@@ -1,9 +1,12 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import statbundle
 from statbundle import fileio
 from statbundle.cli import DEMO_FILES, main
 
@@ -216,12 +219,17 @@ def test_csv_floats_round_trip():
 
 
 def test_module_entry_point(tmp_path):
+    # Run the package under test even when it is importable only through
+    # pytest's own path setting.
+    package_root = str(Path(statbundle.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "statbundle", "verify", "--trials", "1",
          "--sizes", "2x2", "--seed", "1"],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
     assert "overall: PASS" in result.stdout
