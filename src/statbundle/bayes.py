@@ -19,6 +19,15 @@ expose the conditioning map and its derivative in the charts themselves,
 so the full transport pipeline (chart the velocity down, differentiate the
 chart expression, transport back to the moving frame) can be reproduced
 and checked against the closed forms.
+
+Every conditioning map also has a table form that computes all outcomes x
+at once as a read-only (n1, n2) array: :func:`conditionals`,
+:func:`conditional_derivatives` and :func:`condition_chart_derivatives`.
+Each table validates all its rows in one pass, with the rules the
+``Density``/``FiberVector`` constructors apply to a single row.  The per-x
+functions compute their one row through the same row-block code and wrap
+it in a validated object, so row x of a table equals the per-x result
+exactly.  :func:`kl_chain` and :func:`exp_decompose` work on the tables.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ from .core import (
     FiberVector,
     MismatchError,
     ProductSpace,
+    _density_rows,
+    _fiber_rows,
     _require_same_base,
     product_density,
 )
@@ -74,13 +85,47 @@ def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
     return FiberVector(marginalize(q12), vals, v.polarity)
 
 
+def _conditional_rows(rows: np.ndarray, mu2: np.ndarray) -> np.ndarray:
+    """q12(x, .) / q1(x) for each row x of a block of the joint.
+
+    ``np.vecdot`` takes each row's mass with the same dot product as
+    ``np.dot`` on the row alone, so a row does not depend on the rows
+    around it.
+    """
+    return rows / np.vecdot(rows, mu2)[:, None]
+
+
+def _centred_rows(rows: np.ndarray, cond: np.ndarray, mu2: np.ndarray) -> np.ndarray:
+    """v(x, .) - E[v(x, .) | X = x] for each row x of a block."""
+    return rows - np.sum(rows * cond * mu2, axis=1)[:, None]
+
+
+def conditionals(q12: Density) -> np.ndarray:
+    """All conditionals at once: the read-only (n1, n2) table whose row x is
+    q21(.|x), validated row by row as :class:`Density` validates."""
+    space = _joint_space(q12)
+    return _density_rows(
+        space.right, _conditional_rows(q12.values, space.right.weights)
+    )
+
+
 def condition(q12: Density, x: int) -> Density:
     """Conditional density q21(.|x) = q12(x, .) / q1(x) on the right factor."""
     space = _joint_space(q12)
     x = _check_outcome(space, x)
-    row = q12.values[x]
-    mass = float(np.dot(row, space.right.weights))
-    return Density(space.right, row / mass)
+    row = _conditional_rows(q12.values[x : x + 1], space.right.weights)[0]
+    return Density(space.right, row)
+
+
+def conditional_derivatives(q12: Density, v: FiberVector) -> np.ndarray:
+    """All conditioning derivatives at once: the read-only (n1, n2) table
+    whose row x is v(x, .) - E[v(x, .) | X = x], each row validated as a
+    fiber vector at q21(.|x)."""
+    space = _joint_space(q12)
+    _require_same_base(v, q12)
+    mu2 = space.right.weights
+    cond = conditionals(q12)
+    return _fiber_rows(cond, mu2, _centred_rows(v.values, cond, mu2))
 
 
 def conditional_derivative(q12: Density, x: int, v: FiberVector) -> FiberVector:
@@ -92,8 +137,39 @@ def conditional_derivative(q12: Density, x: int, v: FiberVector) -> FiberVector:
     x = _check_outcome(space, x)
     _require_same_base(v, q12)
     cond = condition(q12, x)
-    mean = float(np.sum(v.values[x] * cond.values * space.right.weights))
-    return FiberVector(cond, v.values[x] - mean, v.polarity)
+    row = _centred_rows(v.values[x : x + 1], cond.values, space.right.weights)[0]
+    return FiberVector(cond, row, v.polarity)
+
+
+def _chart_means(p2: Density, rows: np.ndarray) -> np.ndarray:
+    """sum_z v(x, z) p2(z) mu2(z) for each row x of a block."""
+    return np.sum(rows * p2.values * p2.space.weights, axis=1)
+
+
+def _chart_expression_rows(
+    p2: Density, rows: np.ndarray, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(v(x, .) - m) / (1 + m) for each row of a block whose first row is
+    outcome ``first``, together with the denominators 1 + m."""
+    m = _chart_means(p2, rows)
+    denom = 1.0 + m
+    bad = np.flatnonzero(denom <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise BoundaryError(
+            "conditioning chart image leaves the model: "
+            f"1 + m = {float(denom[i])!r} at outcome {first + i}"
+        )
+    return (rows - m[:, None]) / denom[:, None], denom
+
+
+def _chart_derivative_rows(
+    p2: Density, v_rows: np.ndarray, h_rows: np.ndarray, first: int
+) -> np.ndarray:
+    """(h(x, .) - m_h - F_x(v) * m_h) / (1 + m_v) for each row of a block."""
+    fx, denom = _chart_expression_rows(p2, v_rows, first)
+    m_h = _chart_means(p2, h_rows)[:, None]
+    return (h_rows - m_h - fx * m_h) / denom[:, None]
 
 
 def condition_chart_expression(
@@ -112,14 +188,20 @@ def condition_chart_expression(
     p12 = product_density(p1, p2)
     _require_same_base(v, p12)
     x = _check_outcome(p12.space, x)
-    m = float(np.sum(v.values[x] * p2.values * p2.space.weights))
-    denom = 1.0 + m
-    if denom <= 0.0:
-        raise BoundaryError(
-            f"conditioning chart image leaves the model: 1 + m = {denom!r} "
-            f"at outcome {x}"
-        )
-    return FiberVector(p2, (v.values[x] - m) / denom, "mixture")
+    fx, _ = _chart_expression_rows(p2, v.values[x : x + 1], x)
+    return FiberVector(p2, fx[0], "mixture")
+
+
+def condition_chart_derivatives(
+    p1: Density, p2: Density, v: FiberVector, h: FiberVector
+) -> np.ndarray:
+    """All rows of :func:`condition_chart_derivative` at once: the read-only
+    (n1, n2) table, each row validated as a fiber vector at p2."""
+    p12 = product_density(p1, p2)
+    _require_same_base(v, p12)
+    _require_same_base(h, p12)
+    rows = _chart_derivative_rows(p2, v.values, h.values, 0)
+    return _fiber_rows(p2.values, p2.space.weights, rows)
 
 
 def condition_chart_derivative(
@@ -137,11 +219,10 @@ def condition_chart_derivative(
     _require_same_base(v, p12)
     _require_same_base(h, p12)
     x = _check_outcome(p12.space, x)
-    fx = condition_chart_expression(p1, p2, x, v)
-    m_v = float(np.sum(v.values[x] * p2.values * p2.space.weights))
-    m_h = float(np.sum(h.values[x] * p2.values * p2.space.weights))
-    vals = (h.values[x] - m_h - fx.values * m_h) / (1.0 + m_v)
-    return FiberVector(p2, vals, "mixture")
+    rows = _chart_derivative_rows(
+        p2, v.values[x : x + 1], h.values[x : x + 1], x
+    )
+    return FiberVector(p2, rows[0], "mixture")
 
 
 @dataclass(frozen=True)
@@ -161,15 +242,17 @@ class ChartDecomposition:
     residual: float
 
 
-def exp_decompose(
-    p1: Density, p2: Density, q12: Density, weighted_centering: bool = True
-) -> ChartDecomposition:
+def _conditional_kls(p2: Density, cond: np.ndarray) -> np.ndarray:
+    """D(p2 || q21(.|x)) for each row x of a conditionals table."""
+    return np.sum(p2.space.weights * p2.values * np.log(p2.values / cond), axis=1)
+
+
+def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     """Split the exponential chart of a joint along margin and conditionals.
 
-    The centering term is D(p2||q21(.|x)) minus its average over x.  With
-    ``weighted_centering`` the average is the p1-expectation, which is the
-    choice forced by the zero-expectation requirement on the joint chart;
-    the plain mu1-average is kept available for comparison.
+    The centering term is D(p2||q21(.|x)) minus its p1-expectation, the
+    average forced by the zero-expectation requirement on the joint chart
+    (the plain mu1-average does not close the identity).
     """
     space = _joint_space(q12)
     p12 = product_density(p1, p2)
@@ -178,19 +261,12 @@ def exp_decompose(
     u12 = exp_chart(p12, q12).values
     q1 = marginalize(q12)
     u1 = exp_chart(p1, q1).values
-    n1 = space.left.size
-    u21 = np.empty(space.shape)
-    cond_kl = np.empty(n1)
-    for x in range(n1):
-        cond = condition(q12, x)
-        u21[x] = exp_chart(p2, cond).values
-        cond_kl[x] = kl(p2, cond)
-    mu1 = space.left.weights
-    if weighted_centering:
-        average = float(np.sum(cond_kl * p1.values * mu1))
-    else:
-        average = float(np.sum(cond_kl * mu1))
-    centering = cond_kl - average
+    cond = conditionals(q12)
+    mu2 = space.right.weights
+    logratio = np.log(cond) - np.log(p2.values)
+    u21 = _fiber_rows(p2.values, mu2, _centred_rows(logratio, p2.values, mu2))
+    cond_kl = _conditional_kls(p2, cond)
+    centering = cond_kl - float(np.sum(cond_kl * p1.values * space.left.weights))
     residual = float(
         np.max(np.abs(u12 - (u1[:, None] + u21 - centering[:, None])))
     )
@@ -219,8 +295,6 @@ def kl_chain(p1: Density, p2: Density, q12: Density) -> KLChain:
         raise MismatchError("reference densities do not match the joint space")
     total = kl(p12, q12)
     marginal_term = kl(p1, marginalize(q12))
-    cond = sum(
-        kl(p2, condition(q12, x)) * float(p1.values[x] * space.left.weights[x])
-        for x in range(space.left.size)
-    )
-    return KLChain(total, marginal_term, float(cond))
+    cond_kl = _conditional_kls(p2, conditionals(q12))
+    cond = float(np.sum(cond_kl * (p1.values * space.left.weights)))
+    return KLChain(total, marginal_term, cond)

@@ -22,10 +22,14 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
-from .bayes import conditional_derivative, condition, kl_chain, marginal_derivative, marginalize
+from .bayes import (
+    conditional_derivatives,
+    conditionals,
+    kl_chain,
+    marginal_derivative,
+    marginalize,
+)
 from .core import StatBundleError, uniform_density
 from .expfam import natural_gradient_flow
 from .verify import format_report, run_verification
@@ -126,14 +130,12 @@ def run_bayes(joint_path, velocity_path, out_dir) -> int:
     out = Path(out_dir)
     q12 = fileio.load_joint(joint_path)
     q1 = marginalize(q12)
-    n1 = q12.space.left.size
-    conditionals = [condition(q12, x) for x in range(n1)]
     p1 = uniform_density(q12.space.left)
     p2 = uniform_density(q12.space.right)
     chain = kl_chain(p1, p2, q12)
 
     fileio.write_marginal_csv(out / "marginal.csv", q1)
-    fileio.write_conditionals_csv(out / "conditionals.csv", conditionals)
+    fileio.write_table_csv(out / "conditionals.csv", "value", conditionals(q12))
     fileio.write_kl_chain_csv(out / "kl_chain.csv", chain)
     written = ["marginal.csv", "conditionals.csv", "kl_chain.csv"]
 
@@ -144,10 +146,11 @@ def run_bayes(joint_path, velocity_path, out_dir) -> int:
             "value",
             marginal_derivative(q12, v).values,
         )
-        table = np.stack(
-            [conditional_derivative(q12, x, v).values for x in range(n1)]
+        fileio.write_table_csv(
+            out / "conditional_derivatives.csv",
+            "value",
+            conditional_derivatives(q12, v),
         )
-        fileio.write_table_csv(out / "conditional_derivatives.csv", "value", table)
         written += ["marginal_derivative.csv", "conditional_derivatives.csv"]
 
     print(f"bayes: wrote {', '.join(written)} to {out}")

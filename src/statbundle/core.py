@@ -70,6 +70,76 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _centring_bound(vals, q, mu):
+    """Tolerance on E_q[v]: FIBER_ATOL scaled by max(1, E_q[|v|]).
+
+    The rounding error of a centred sum grows with the magnitude of its
+    terms, so a fixed 1e-12 would reject large vectors that are centred
+    to working precision.  Reduces over the last axis, so a block of rows
+    gets one bound per row.
+    """
+    return FIBER_ATOL * np.maximum(1.0, np.sum(np.abs(vals) * q * mu, axis=-1))
+
+
+def _density_rows(space: SampleSpace, rows: np.ndarray) -> np.ndarray:
+    """Check each row of a fresh (k, n) block as a density on ``space``.
+
+    Applies the rules of :class:`Density` to all rows in one pass: finite
+    entries, no value below the positivity floor, and each row's mass
+    within 1e-12 of one, where drift below 1e-6 is renormalised and larger
+    drift is rejected.  Returns the block read-only.
+    """
+    if not np.all(np.isfinite(rows)):
+        raise StatBundleError("density values contains a non-finite entry")
+    bad = np.flatnonzero(rows < POSITIVITY_FLOOR)
+    if bad.size:
+        i = int(bad[0])
+        raise BoundaryError(
+            f"non-positive density value {float(rows.flat[i])!r} at index "
+            f"{_coord_label(rows, i)} (the model excludes the boundary)"
+        )
+    mass = np.vecdot(rows, space.weights)
+    drift = np.abs(mass - 1.0)
+    off = drift > NORMALIZATION_ATOL
+    if off.any():
+        x = int(np.argmax(drift))
+        if drift[x] >= RENORMALIZE_LIMIT:
+            raise NormalizationError(
+                f"density mass {float(mass[x])!r} of row {x} is off by "
+                f"{drift[x]:.3e} "
+                f"(renormalization limit {RENORMALIZE_LIMIT:.0e})"
+            )
+        rows = np.where(off[:, None], rows / mass[:, None], rows)
+    rows.flags.writeable = False
+    return rows
+
+
+def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Check each row of a fresh (k, n) block as a fiber vector.
+
+    Row x is checked at the density ``base[x]``, or at ``base`` itself when
+    it is a single density, with the rules of :class:`FiberVector`: finite
+    entries and a centring residual within the scaled tolerance.  Returns
+    the block read-only.
+    """
+    if not np.all(np.isfinite(rows)):
+        raise StatBundleError("fiber values contains a non-finite entry")
+    residual = np.abs(np.sum(rows * base * mu, axis=1))
+    over = np.flatnonzero(residual > FIBER_ATOL)
+    if over.size:
+        bases = np.broadcast_to(base, rows.shape)[over]
+        bound = _centring_bound(rows[over], bases, mu)
+        failed = np.flatnonzero(residual[over] > bound)
+        if failed.size:
+            i = int(failed[0])
+            raise StatBundleError(
+                f"not a fiber vector: row {int(over[i])} expectation residual "
+                f"{residual[over[i]]:.3e} exceeds {bound[i]:.3e}"
+            )
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSpace:
     """A finite outcome set with strictly positive reference weights."""
@@ -219,6 +289,10 @@ class FiberVector:
     in the fiber (``"exponential"``, velocities/scores) or in its predual
     (``"mixture"``).  On a finite space the two coincide numerically, so the
     tag is advisory: operations validate the base density, never the tag.
+
+    The centring residual ``|E_q[v]|`` must be within ``1e-12``, scaled by
+    ``max(1, E_q[|v|])`` so that vectors of large magnitude, centred to
+    working precision, are accepted.
     """
 
     base: Density
@@ -234,20 +308,17 @@ class FiberVector:
             )
         if self.polarity not in _POLARITIES:
             raise StatBundleError(f"unknown polarity {self.polarity!r}")
-        residual = abs(
-            float(
-                np.sum(
-                    vals.ravel()
-                    * self.base.values.ravel()
-                    * self.base.space.weights.ravel()
-                )
-            )
-        )
+        flat = vals.ravel()
+        q = self.base.values.ravel()
+        mu = self.base.space.weights.ravel()
+        residual = abs(float(np.sum(flat * q * mu)))
         if residual > FIBER_ATOL:
-            raise StatBundleError(
-                f"not a fiber vector: expectation residual {residual:.3e} "
-                f"exceeds {FIBER_ATOL:.0e}"
-            )
+            bound = float(_centring_bound(flat, q, mu))
+            if residual > bound:
+                raise StatBundleError(
+                    f"not a fiber vector: expectation residual {residual:.3e} "
+                    f"exceeds {bound:.3e}"
+                )
         object.__setattr__(self, "values", _freeze(vals))
 
     def __repr__(self) -> str:

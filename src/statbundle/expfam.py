@@ -8,7 +8,9 @@ R^d is a valid parameter domain and ``psi`` is the base cumulant of
 * psi(theta) = D(p1 (x) p2 || G(theta)) and grad psi(theta) = E_G[T];
 * the model velocity is (T - E_G[T]) . thetadot, its margin the
   conditional expectation of the same, its conditional the centered
-  x-section;
+  x-section; :func:`conditional_velocities` gives every x-section as one
+  (n1, n2) table from a single evaluation of G(theta), and each velocity
+  evaluates G(theta) once;
 * for a fixed margin r1, the parameter gradients of D(r1 || G1(theta))
   and D(G1(theta) || r1) are integrals of the conditional expectation
   E_G[T - E_G[T] | X] against r1*mu1 and against log(r1/G1)*G1*mu1.
@@ -33,11 +35,12 @@ from .core import (
     ProductSpace,
     StatBundleError,
     _as_float_array,
+    _fiber_rows,
     product_density,
 )
 from .charts import exp_chart_inv, cumulant
 from .divergence import kl
-from .bayes import condition, marginal_derivative, marginalize
+from .bayes import condition, conditionals, marginal_derivative, marginalize
 
 GRAM_EIGENVALUE_FLOOR = 1e-10
 MAX_BACKTRACK_HALVINGS = 30
@@ -137,22 +140,52 @@ def grad_psi(family: ExpFamily, theta) -> np.ndarray:
     return _stats_expect(family, g)
 
 
+def _velocity(family: ExpFamily, g: Density, thetadot: np.ndarray) -> FiberVector:
+    """(T - E_g[T]) . thetadot as a fiber vector at the member g."""
+    vals = np.tensordot(thetadot, family.stats, axes=1) - float(
+        thetadot @ _stats_expect(family, g)
+    )
+    return FiberVector(g, vals, "exponential")
+
+
 def joint_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
     """Velocity of theta -> G(theta): (T - E_{G(theta)}[T]) . thetadot."""
     theta = _check_theta(family, theta)
     thetadot = _check_theta(family, thetadot)
-    g = density(family, theta)
-    vals = np.tensordot(thetadot, family.stats, axes=1) - float(
-        thetadot @ grad_psi(family, theta)
-    )
-    return FiberVector(g, vals, "exponential")
+    return _velocity(family, density(family, theta), thetadot)
 
 
 def marginal_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
     """Velocity of the first margin: the marginalization derivative applied
     to the joint velocity, i.e. E_G[T - E_G[T] | X] . thetadot."""
-    g = density(family, _check_theta(family, theta))
-    return marginal_derivative(g, joint_velocity(family, theta, thetadot))
+    theta = _check_theta(family, theta)
+    thetadot = _check_theta(family, thetadot)
+    g = density(family, theta)
+    return marginal_derivative(g, _velocity(family, g, thetadot))
+
+
+def _section_rows(
+    stats: np.ndarray, thetadot: np.ndarray, cond: np.ndarray, mu2: np.ndarray
+) -> np.ndarray:
+    """(T(x, .) - E[T(x, .) | X = x]) . thetadot for each row x of a block.
+
+    ``stats`` holds the block's x-sections, shape (d, k, n2), and ``cond``
+    their conditionals, shape (k, n2).  The sum over statistics runs
+    elementwise, so a row does not depend on the rows around it.
+    """
+    means = (stats * (cond * mu2)).sum(axis=2)
+    return (thetadot[:, None, None] * (stats - means[:, :, None])).sum(axis=0)
+
+
+def conditional_velocities(family: ExpFamily, theta, thetadot) -> np.ndarray:
+    """All conditional velocities at once: the read-only (n1, n2) table whose
+    row x is :func:`conditional_velocity` at x, validated as a fiber vector
+    at q21(.|x).  Evaluates the member G(theta) once."""
+    theta = _check_theta(family, theta)
+    thetadot = _check_theta(family, thetadot)
+    cond = conditionals(density(family, theta))
+    mu2 = family.space.right.weights
+    return _fiber_rows(cond, mu2, _section_rows(family.stats, thetadot, cond, mu2))
 
 
 def conditional_velocity(family: ExpFamily, theta, thetadot, x: int) -> FiberVector:
@@ -160,13 +193,13 @@ def conditional_velocity(family: ExpFamily, theta, thetadot, x: int) -> FiberVec
     (T(x, .) - E[T(x, .) | X = x]) . thetadot."""
     theta = _check_theta(family, theta)
     thetadot = _check_theta(family, thetadot)
-    g = density(family, theta)
-    cond = condition(g, x)
-    section = family.stats[:, int(x), :]
+    cond = condition(density(family, theta), x)
+    x = int(x)
+    section = family.stats[:, x : x + 1, :]
     mu2 = cond.space.weights
-    means = (section * (cond.values * mu2)).sum(axis=1)
-    vals = thetadot @ (section - means[:, None])
-    return FiberVector(cond, vals, "exponential")
+    return FiberVector(
+        cond, _section_rows(section, thetadot, cond.values, mu2)[0], "exponential"
+    )
 
 
 def _stats_expect(family: ExpFamily, g: Density) -> np.ndarray:

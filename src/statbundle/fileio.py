@@ -122,14 +122,6 @@ def write_marginal_csv(path, q1: Density) -> None:
     write_csv(path, ("x", "weight", "value"), rows)
 
 
-def write_conditionals_csv(path, conditionals: Sequence[Density]) -> None:
-    rows = []
-    for x, cond in enumerate(conditionals):
-        for y in range(cond.space.size):
-            rows.append((x, y, cond.values[y]))
-    write_csv(path, ("x", "y", "value"), rows)
-
-
 def write_kl_chain_csv(path, chain) -> None:
     write_csv(
         path,

@@ -52,9 +52,9 @@ from .divergence import (
     structural_reconstruct,
 )
 from .bayes import (
-    condition,
-    condition_chart_derivative,
-    conditional_derivative,
+    condition_chart_derivatives,
+    conditional_derivatives,
+    conditionals,
     exp_decompose,
     kl_chain,
     marginal_derivative,
@@ -70,7 +70,7 @@ from .expfam import (
     kl_theta_gradient_right,
     make_expfam,
     marginal_velocity,
-    conditional_velocity,
+    conditional_velocities,
     psi,
 )
 from .findiff import fd_gradient, fd_scalar, fd_vector_curve
@@ -263,16 +263,13 @@ def _check_common_param_fd(rng, n: int) -> float:
 def _enum_conditional_expectation(q12: Density, v: FiberVector) -> list[float]:
     """Brute-force E_q[v | X = x] by outcome enumeration (oracle path)."""
     n1, n2 = q12.space.shape
-    mu2 = q12.space.right.weights
+    mu2 = q12.space.right.weights.tolist()
     out = []
     for x in range(n1):
-        num = math.fsum(
-            float(v.values[x, z]) * float(q12.values[x, z]) * float(mu2[z])
-            for z in range(n2)
-        )
-        den = math.fsum(
-            float(q12.values[x, z]) * float(mu2[z]) for z in range(n2)
-        )
+        # plain floats, read one row at a time to keep memory at O(n2)
+        qx, vx = q12.values[x].tolist(), v.values[x].tolist()
+        num = math.fsum(vx[z] * qx[z] * mu2[z] for z in range(n2))
+        den = math.fsum(qx[z] * mu2[z] for z in range(n2))
         out.append(num / den)
     return out
 
@@ -303,19 +300,15 @@ def _check_conditional_derivative_enum(rng, size: tuple[int, int]) -> float:
     space = _random_product(rng, *size)
     q12 = random_density(space, rng)
     v = random_fiber(q12, rng)
-    mu2 = space.right.weights
+    lib = conditional_derivatives(q12, v)
+    mu2 = space.right.weights.tolist()
     worst = 0.0
     for x in range(size[0]):
-        lib = conditional_derivative(q12, x, v).values
-        den = math.fsum(
-            float(q12.values[x, z]) * float(mu2[z]) for z in range(size[1])
-        )
-        mean = math.fsum(
-            float(v.values[x, z]) * (float(q12.values[x, z]) / den) * float(mu2[z])
-            for z in range(size[1])
-        )
-        oracle = [float(v.values[x, z]) - mean for z in range(size[1])]
-        worst = max(worst, _maxabs(lib - np.asarray(oracle)))
+        qx, vx = q12.values[x].tolist(), v.values[x].tolist()
+        den = math.fsum(qx[z] * mu2[z] for z in range(size[1]))
+        mean = math.fsum(vx[z] * (qx[z] / den) * mu2[z] for z in range(size[1]))
+        oracle = [vx[z] - mean for z in range(size[1])]
+        worst = max(worst, _maxabs(lib[x] - np.asarray(oracle)))
     return worst
 
 
@@ -324,15 +317,11 @@ def _check_conditional_derivative_fd(rng, size: tuple[int, int]) -> float:
     q12 = random_density(space, rng)
     v = random_fiber(q12, rng)
     curve = mixture_curve(q12, v)
-    worst = 0.0
-    for x in range(size[0]):
-        lib = conditional_derivative(q12, x, v).values
-        base = condition(q12, x)
-        numeric = fd_vector_curve(
-            lambda t: mix_chart(base, condition(curve(t), x)).values, 0.0
-        )
-        worst = max(worst, _maxabs(lib - numeric))
-    return worst
+    base = conditionals(q12)
+    # The mixture chart of every conditional at once: one perturbed joint
+    # per probe, conditioned as a whole table.
+    numeric = fd_vector_curve(lambda t: conditionals(curve(t)) / base - 1.0, 0.0)
+    return _maxabs(conditional_derivatives(q12, v) - numeric)
 
 
 def _check_chart_pipeline(rng, size: tuple[int, int]) -> float:
@@ -344,13 +333,10 @@ def _check_chart_pipeline(rng, size: tuple[int, int]) -> float:
     p12 = product_density(p1, p2)
     v0 = mix_chart(p12, q12)
     h = m_transport(q12, p12, v)
-    worst = 0.0
-    for x in range(size[0]):
-        in_chart = condition_chart_derivative(p1, p2, x, v0, h)
-        moved = m_transport(p2, condition(q12, x), in_chart)
-        direct = conditional_derivative(q12, x, v)
-        worst = max(worst, _maxabs(moved.values - direct.values))
-    return worst
+    in_chart = condition_chart_derivatives(p1, p2, v0, h)
+    # The mixture transport from p2 to each conditional, row by row.
+    moved = p2.values / conditionals(q12) * in_chart
+    return _maxabs(moved - conditional_derivatives(q12, v))
 
 
 def _check_exp_decomposition(rng, size: tuple[int, int]) -> float:
@@ -400,18 +386,11 @@ def _check_velocities_fd(rng, size: tuple[int, int]) -> float:
     worst = max(
         worst, _maxabs(marginal_velocity(family, theta, thetadot).values - numeric)
     )
-    for x in range(size[0]):
-        base = condition(g, x)
-        numeric = fd_vector_curve(
-            lambda t: mix_chart(base, condition(member(t), x)).values, 0.0
-        )
-        worst = max(
-            worst,
-            _maxabs(
-                conditional_velocity(family, theta, thetadot, x).values - numeric
-            ),
-        )
-    return worst
+    base = conditionals(g)
+    numeric = fd_vector_curve(lambda t: conditionals(member(t)) / base - 1.0, 0.0)
+    return max(
+        worst, _maxabs(conditional_velocities(family, theta, thetadot) - numeric)
+    )
 
 
 def _check_kl_theta_fd(rng, size: tuple[int, int]) -> float:

@@ -249,6 +249,78 @@ class TestConditioningInCharts:
             np.testing.assert_allclose(moved.values, direct.values, atol=1e-10)
 
 
+TABLE_SHAPES = [(2, 2), (2, 7), (7, 2), (5, 3)]
+
+
+class TestTables:
+    """Row x of each table is the per-x function at x, to the last bit."""
+
+    @pytest.mark.parametrize("shape", TABLE_SHAPES)
+    def test_conditionals(self, shape):
+        q12 = random_joint(*shape, 50)
+        table = sb.conditionals(q12)
+        assert table.shape == shape and not table.flags.writeable
+        for x in range(shape[0]):
+            np.testing.assert_array_equal(table[x], sb.condition(q12, x).values)
+
+    @pytest.mark.parametrize("shape", TABLE_SHAPES)
+    def test_conditional_derivatives(self, shape):
+        q12 = random_joint(*shape, 51)
+        v = sb.random_fiber(q12, 52, "mixture")
+        table = sb.conditional_derivatives(q12, v)
+        assert table.shape == shape and not table.flags.writeable
+        for x in range(shape[0]):
+            np.testing.assert_array_equal(
+                table[x], sb.conditional_derivative(q12, x, v).values
+            )
+
+    @pytest.mark.parametrize("shape", TABLE_SHAPES)
+    def test_condition_chart_derivatives(self, shape):
+        q12 = random_joint(*shape, 53)
+        p1 = sb.random_density(q12.space.left, 54)
+        p2 = sb.random_density(q12.space.right, 55)
+        p12 = sb.product_density(p1, p2)
+        v0 = sb.mix_chart(p12, q12)
+        h = sb.random_fiber(p12, 56, "mixture")
+        table = sb.condition_chart_derivatives(p1, p2, v0, h)
+        assert table.shape == shape and not table.flags.writeable
+        for x in range(shape[0]):
+            np.testing.assert_array_equal(
+                table[x], sb.condition_chart_derivative(p1, p2, x, v0, h).values
+            )
+
+    def test_underflowing_conditional_rejected_like_condition(self, half_space):
+        # row 0 is a valid joint row whose conditional falls below the floor
+        space = sb.ProductSpace(half_space, half_space)
+        q12 = sb.make_density(space, [[1.5e-300, 3.9], [0.05, 0.05]])
+        v = sb.random_fiber(q12, 57)
+        with pytest.raises(sb.BoundaryError, match=r"\(0, 0\)"):
+            sb.conditionals(q12)
+        with pytest.raises(sb.BoundaryError):
+            sb.condition(q12, 0)
+        with pytest.raises(sb.BoundaryError):
+            sb.conditional_derivatives(q12, v)
+        with pytest.raises(sb.BoundaryError):
+            sb.conditional_derivative(q12, 0, v)
+
+    def test_chart_image_leaving_model_rejected_like_per_row(self, two_point):
+        _, p, _, _ = two_point
+        p12 = sb.product_density(p, p)
+        v = sb.FiberVector(p12, [[0.5, 1.5], [-1.5, -0.5]], "mixture")
+        h = sb.random_fiber(p12, 58, "mixture")
+        with pytest.raises(sb.BoundaryError, match="at outcome 1"):
+            sb.condition_chart_derivatives(p, p, v, h)
+        with pytest.raises(sb.BoundaryError, match="at outcome 1"):
+            sb.condition_chart_derivative(p, p, 1, v, h)
+        sb.condition_chart_derivative(p, p, 0, v, h)
+
+    def test_base_mismatch(self, joint_2x2):
+        _, q12 = joint_2x2
+        v = sb.random_fiber(random_joint(2, 2, 59), 60)
+        with pytest.raises(sb.MismatchError):
+            sb.conditional_derivatives(q12, v)
+
+
 class TestChartDecomposition:
     def test_base_point_is_all_zero(self, two_point):
         _, p, _, _ = two_point
@@ -283,15 +355,17 @@ class TestChartDecomposition:
         assert sb.exp_decompose(p1, p2, q12).residual <= 1e-12
 
     def test_literal_centering_breaks_the_identity(self):
-        # the unweighted average is only exhibited for comparison: with a
-        # margin reference that is not flat it cannot close the identity
+        # recentring by the plain mu1-average instead of the p1-expectation:
+        # with a margin reference that is not flat it cannot close the
+        # identity
         q12 = random_joint(3, 4, 36)
         p1 = sb.random_density(q12.space.left, 37)
         p2 = sb.random_density(q12.space.right, 38)
-        weighted = sb.exp_decompose(p1, p2, q12, weighted_centering=True)
-        literal = sb.exp_decompose(p1, p2, q12, weighted_centering=False)
-        assert weighted.residual <= 1e-12
-        assert literal.residual > 1e-6
+        dec = sb.exp_decompose(p1, p2, q12)
+        literal = dec.centering - np.sum(dec.centering * q12.space.left.weights)
+        rebuilt = dec.marginal[:, None] + dec.conditional - literal[:, None]
+        assert dec.residual <= 1e-12
+        assert np.max(np.abs(dec.joint - rebuilt)) > 1e-6
 
 
 class TestKLChain:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import statbundle as sb
+from statbundle.core import _density_rows, _fiber_rows
 
 
 class TestMakeSpace:
@@ -185,6 +186,94 @@ class TestFiberValidation:
         _, _, q, _ = two_point
         v = sb.center(q, [0.3, -0.9])
         assert abs(sb.expect(q, v.values)) <= 1e-12
+
+
+    def test_scaled_bound_still_rejects_an_offset(self):
+        # at magnitude 1e4 the bound is about 1e-8, far below this offset
+        space = sb.make_space([0.3, 0.5, 0.9])
+        q = sb.random_density(space, 3)
+        v = sb.center(q, 1e4 * np.array([1.0, -2.0, 0.5]))
+        with pytest.raises(sb.StatBundleError, match="residual"):
+            sb.FiberVector(q, v.values + 1e-6)
+
+
+@given(
+    exponent=st.floats(-3, 8),
+    n=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_outputs_validate_at_any_magnitude(exponent, n, seed):
+    """center, exp_chart and both transports never reject their own output.
+
+    A fixed 1e-12 tolerance on the centring residual rejected ``center``'s
+    output at magnitude 1e4 on 3-point spaces for some seeds.
+    """
+    rng = np.random.default_rng(seed)
+    magnitude = 10.0**exponent
+    space = sb.make_space(rng.uniform(0.2, 2.0, n))
+    p, q = sb.random_density(space, rng), sb.random_density(space, rng)
+    v = sb.center(p, magnitude * rng.standard_normal(n))
+    w = sb.center(p, magnitude * rng.standard_normal(n), "mixture")
+    sb.e_transport(p, q, v)
+    sb.m_transport(p, q, w)
+    # log-ratios stay below about 200 so that r keeps clear of the floor
+    u = sb.center(p, min(magnitude, 50.0) * rng.standard_normal(n))
+    r = sb.exp_chart_inv(p, u)
+    sb.exp_chart(p, r)
+    sb.exp_chart(r, p)
+
+
+class TestRowValidation:
+    """The table validators reject a bad row with the error class of the
+    per-row constructor, and repair it the same way."""
+
+    def _rows(self, bad_row):
+        space = sb.make_space([0.5, 1.5, 1.0])
+        good = np.array([0.4, 0.4, 0.2])
+        return space, np.array([good, bad_row])
+
+    @pytest.mark.parametrize(
+        "bad_row, error",
+        [
+            ([np.nan, 0.5, 0.5], sb.StatBundleError),
+            ([0.0, 0.5, 0.75], sb.BoundaryError),
+            ([1e-301, 0.5, 0.75], sb.BoundaryError),
+            ([0.5, 0.5, 0.6], sb.NormalizationError),
+        ],
+    )
+    def test_density_rows(self, bad_row, error):
+        space, rows = self._rows(bad_row)
+        with pytest.raises(error) as per_row:
+            sb.Density(space, np.array(bad_row))
+        with pytest.raises(error) as table:
+            _density_rows(space, rows)
+        assert type(table.value) is type(per_row.value)
+
+    def test_density_rows_renormalize_small_drift(self):
+        space, rows = self._rows([0.4, 0.4, 0.2 + 2e-9])
+        table = _density_rows(space, rows.copy())
+        np.testing.assert_array_equal(table[0], rows[0])
+        np.testing.assert_array_equal(
+            table[1], sb.Density(space, rows[1]).values
+        )
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize(
+        "bad_row", [[np.inf, 0.0, 0.0], [1e-6, 0.0, 0.0], [1e4, -1e4, 1e-6]]
+    )
+    def test_fiber_rows(self, bad_row):
+        space = sb.make_space([0.5, 1.5, 1.0])
+        q = sb.uniform_density(space)
+        good = sb.center(q, [1e4, -2e4, 3e4]).values
+        rows = np.array([good, bad_row])
+        with pytest.raises(sb.StatBundleError) as per_row:
+            sb.FiberVector(q, np.array(bad_row))
+        with pytest.raises(sb.StatBundleError) as table:
+            _fiber_rows(q.values, space.weights, rows)
+        assert type(table.value) is type(per_row.value)
+        accepted = _fiber_rows(q.values, space.weights, rows[:1].copy())
+        np.testing.assert_array_equal(accepted[0], sb.FiberVector(q, good).values)
 
 
 class TestRandomDensity:

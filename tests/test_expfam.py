@@ -192,6 +192,39 @@ class TestVelocities:
             np.testing.assert_allclose(direct.values, composed.values,
                                        atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "shape, d", [((2, 2), 1), ((2, 7), 3), ((7, 2), 2), ((5, 3), 3)]
+    )
+    def test_conditional_velocities_table_rows(self, shape, d):
+        fam = random_family(*shape, d, 85)
+        theta = np.linspace(-0.6, 0.8, d)
+        thetadot = np.linspace(1.1, -0.4, d)
+        table = sb.conditional_velocities(fam, theta, thetadot)
+        assert table.shape == shape and not table.flags.writeable
+        for x in range(shape[0]):
+            np.testing.assert_array_equal(
+                table[x], sb.conditional_velocity(fam, theta, thetadot, x).values
+            )
+
+    def test_each_velocity_evaluates_the_member_once(self, monkeypatch):
+        fam = random_family(3, 4, 2, 86)
+        calls = []
+        inner = sb.expfam.exp_chart_inv
+
+        def counting(p, v):
+            calls.append(1)
+            return inner(p, v)
+
+        monkeypatch.setattr(sb.expfam, "exp_chart_inv", counting)
+        for velocity in (
+            sb.joint_velocity,
+            sb.marginal_velocity,
+            sb.conditional_velocities,
+        ):
+            calls.clear()
+            velocity(fam, [0.3, -0.2], [1.0, 0.5])
+            assert len(calls) == 1, velocity.__name__
+
     def test_velocities_match_fd(self):
         fam = random_family(2, 3, 1, 83)
         theta = np.array([0.4])

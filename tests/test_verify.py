@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import statbundle as sb
+from statbundle import verify
 from statbundle.verify import CHECKS, format_report, run_verification
 
 
@@ -74,3 +76,49 @@ def test_random_family_redraws_unidentifiable_statistics(seed):
     report = run_verification(seed=seed, names=names)
     assert [c.name for c in report.checks] == names
     assert report.overall
+
+
+def _instance_calls(monkeypatch, target, attr, counted, check, n1):
+    """Calls of ``target.attr`` that ``counted`` accepts, in one instance of
+    ``check`` on an n1 x 5 space."""
+    calls = []
+    inner = getattr(target, attr)
+
+    def counting(*args, **kwargs):
+        if counted(*args):
+            calls.append(1)
+        return inner(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(target, attr, counting)
+        check(np.random.default_rng([7, n1]), (n1, 5))
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "check", [verify._check_conditional_derivative_fd, verify._check_chart_pipeline]
+)
+def test_joint_densities_per_instance_do_not_grow_with_n1(monkeypatch, check):
+    def joint(density):
+        return isinstance(density.space, sb.ProductSpace)
+
+    counts = [
+        _instance_calls(monkeypatch, sb.Density, "__post_init__", joint, check, n1)
+        for n1 in (4, 16)
+    ]
+    assert counts[0] == counts[1]
+
+
+def test_family_evaluations_per_velocity_instance_do_not_grow_with_n1(monkeypatch):
+    counts = [
+        _instance_calls(
+            monkeypatch,
+            sb.expfam,
+            "exp_chart_inv",
+            lambda *args: True,
+            verify._check_velocities_fd,
+            n1,
+        )
+        for n1 in (4, 16)
+    ]
+    assert counts[0] == counts[1]
