@@ -45,6 +45,7 @@ from .core import (
     _density_rows,
     _fiber_rows,
     _require_same_base,
+    _row_masses,
     product_density,
 )
 from .charts import exp_chart
@@ -86,13 +87,8 @@ def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
 
 
 def _conditional_rows(rows: np.ndarray, mu2: np.ndarray) -> np.ndarray:
-    """q12(x, .) / q1(x) for each row x of a block of the joint.
-
-    ``np.vecdot`` takes each row's mass with the same dot product as
-    ``np.dot`` on the row alone, so a row does not depend on the rows
-    around it.
-    """
-    return rows / np.vecdot(rows, mu2)[:, None]
+    """q12(x, .) / q1(x) for each row x of a block of the joint."""
+    return rows / _row_masses(rows, mu2)[:, None]
 
 
 def _centred_rows(rows: np.ndarray, cond: np.ndarray, mu2: np.ndarray) -> np.ndarray:
@@ -104,9 +100,8 @@ def conditionals(q12: Density) -> np.ndarray:
     """All conditionals at once: the read-only (n1, n2) table whose row x is
     q21(.|x), validated row by row as :class:`Density` validates."""
     space = _joint_space(q12)
-    return _density_rows(
-        space.right, _conditional_rows(q12.values, space.right.weights)
-    )
+    mu2 = space.right.weights
+    return _density_rows(mu2, _conditional_rows(q12.values, mu2))
 
 
 def condition(q12: Density, x: int) -> Density:

@@ -115,7 +115,7 @@ def mix_chart_inv(p: Density, w: FiberVector) -> Density:
         i = int(bad[0])
         raise BoundaryError(
             f"mixture chart image leaves the model: 1 + w = {flat[i]!r} "
-            f"at index {_coord_label(scaled, i)}"
+            f"at index {_coord_label(scaled.shape, i)}"
         )
     return Density(p.space, scaled * p.values)
 

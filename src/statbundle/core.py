@@ -56,10 +56,10 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _coord_label(arr: np.ndarray, flat_index: int) -> str:
-    if arr.ndim == 1:
+def _coord_label(shape: tuple[int, ...], flat_index: int) -> str:
+    if len(shape) == 1:
         return str(flat_index)
-    return str(tuple(int(i) for i in np.unravel_index(flat_index, arr.shape)))
+    return str(tuple(int(i) for i in np.unravel_index(flat_index, shape)))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -81,34 +81,48 @@ def _centring_bound(vals, q, mu):
     return FIBER_ATOL * np.maximum(1.0, np.sum(np.abs(vals) * q * mu, axis=-1))
 
 
-def _density_rows(space: SampleSpace, rows: np.ndarray) -> np.ndarray:
-    """Check each row of a fresh (k, n) block as a density on ``space``.
+def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum(row * weights) for each row of a (k, n) block.
 
-    Applies the rules of :class:`Density` to all rows in one pass: finite
-    entries, no value below the positivity floor, and each row's mass
-    within 1e-12 of one, where drift below 1e-6 is renormalised and larger
-    drift is rejected.  Returns the block read-only.
+    One ``np.dot`` per row, so a row's mass is the same float whether the
+    row is checked alone or inside a table.
     """
-    if not np.all(np.isfinite(rows)):
+    return np.fromiter((np.dot(row, weights) for row in rows), float, len(rows))
+
+
+def _row_label(rows: np.ndarray, x: int) -> str:
+    return f" of row {x}" if rows.shape[0] > 1 else ""
+
+
+def _density_rows(weights: np.ndarray, rows: np.ndarray, shape=None) -> np.ndarray:
+    """Check each row of a fresh (k, n) block as a density against ``weights``.
+
+    These are the rules of :class:`Density`, which checks its values as a
+    one-row block: finite entries, no value below the positivity floor, and
+    a mass within 1e-12 of one, where drift below 1e-6 is renormalised and
+    larger drift is rejected.  Errors name an entry by its index in an
+    array of ``shape`` (default: the block's).  Returns the block read-only.
+    """
+    if not np.isfinite(rows).all():
         raise StatBundleError("density values contains a non-finite entry")
-    bad = np.flatnonzero(rows < POSITIVITY_FLOOR)
-    if bad.size:
-        i = int(bad[0])
+    if rows.min() < POSITIVITY_FLOOR:
+        i = int(np.flatnonzero(rows < POSITIVITY_FLOOR)[0])
         raise BoundaryError(
             f"non-positive density value {float(rows.flat[i])!r} at index "
-            f"{_coord_label(rows, i)} (the model excludes the boundary)"
+            f"{_coord_label(shape or rows.shape, i)} "
+            "(the model excludes the boundary)"
         )
-    mass = np.vecdot(rows, space.weights)
+    mass = _row_masses(rows, weights)
     drift = np.abs(mass - 1.0)
-    off = drift > NORMALIZATION_ATOL
-    if off.any():
-        x = int(np.argmax(drift))
+    x = int(drift.argmax())
+    if drift[x] > NORMALIZATION_ATOL:
         if drift[x] >= RENORMALIZE_LIMIT:
             raise NormalizationError(
-                f"density mass {float(mass[x])!r} of row {x} is off by "
-                f"{drift[x]:.3e} "
+                f"density mass {float(mass[x])!r}{_row_label(rows, x)} is off "
+                f"by {drift[x]:.3e} "
                 f"(renormalization limit {RENORMALIZE_LIMIT:.0e})"
             )
+        off = drift > NORMALIZATION_ATOL
         rows = np.where(off[:, None], rows / mass[:, None], rows)
     rows.flags.writeable = False
     return rows
@@ -118,23 +132,25 @@ def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarra
     """Check each row of a fresh (k, n) block as a fiber vector.
 
     Row x is checked at the density ``base[x]``, or at ``base`` itself when
-    it is a single density, with the rules of :class:`FiberVector`: finite
-    entries and a centring residual within the scaled tolerance.  Returns
-    the block read-only.
+    it is a single density.  These are the rules of :class:`FiberVector`,
+    which checks its values as a one-row block: finite entries and a
+    centring residual within the scaled tolerance.  Returns the block
+    read-only.
     """
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise StatBundleError("fiber values contains a non-finite entry")
-    residual = np.abs(np.sum(rows * base * mu, axis=1))
-    over = np.flatnonzero(residual > FIBER_ATOL)
-    if over.size:
+    residual = np.abs((rows * base * mu).sum(axis=1))
+    if residual.max() > FIBER_ATOL:
+        over = np.flatnonzero(residual > FIBER_ATOL)
         bases = np.broadcast_to(base, rows.shape)[over]
         bound = _centring_bound(rows[over], bases, mu)
         failed = np.flatnonzero(residual[over] > bound)
         if failed.size:
             i = int(failed[0])
+            x = int(over[i])
             raise StatBundleError(
-                f"not a fiber vector: row {int(over[i])} expectation residual "
-                f"{residual[over[i]]:.3e} exceeds {bound[i]:.3e}"
+                f"not a fiber vector{_row_label(rows, x)}: expectation "
+                f"residual {residual[x]:.3e} exceeds {bound[i]:.3e}"
             )
     rows.flags.writeable = False
     return rows
@@ -237,31 +253,16 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _as_float_array(self.values, "density values")
+        vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.space.weights.shape:
             raise MismatchError(
                 f"density shape {vals.shape} does not match space shape "
                 f"{self.space.weights.shape}"
             )
-        flat = vals.ravel()
-        bad = np.flatnonzero(flat < POSITIVITY_FLOOR)
-        if bad.size:
-            i = int(bad[0])
-            raise BoundaryError(
-                f"non-positive density value {flat[i]!r} at index "
-                f"{_coord_label(vals, i)} (the model excludes the boundary)"
-            )
-        mass = float(np.dot(flat, self.space.weights.ravel()))
-        drift = abs(mass - 1.0)
-        if drift > NORMALIZATION_ATOL:
-            if drift < RENORMALIZE_LIMIT:
-                vals = vals / mass
-            else:
-                raise NormalizationError(
-                    f"density mass {mass!r} is off by {drift:.3e} "
-                    f"(renormalization limit {RENORMALIZE_LIMIT:.0e})"
-                )
-        object.__setattr__(self, "values", _freeze(vals))
+        checked = _density_rows(
+            self.space.weights.ravel(), vals.reshape(1, -1), vals.shape
+        )
+        object.__setattr__(self, "values", _freeze(checked.reshape(vals.shape)))
 
     @property
     def n(self) -> int:
@@ -300,7 +301,7 @@ class FiberVector:
     polarity: Polarity = "exponential"
 
     def __post_init__(self):
-        vals = _as_float_array(self.values, "fiber values")
+        vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.base.values.shape:
             raise MismatchError(
                 f"fiber shape {vals.shape} does not match base shape "
@@ -308,17 +309,13 @@ class FiberVector:
             )
         if self.polarity not in _POLARITIES:
             raise StatBundleError(f"unknown polarity {self.polarity!r}")
-        flat = vals.ravel()
-        q = self.base.values.ravel()
-        mu = self.base.space.weights.ravel()
-        residual = abs(float(np.sum(flat * q * mu)))
-        if residual > FIBER_ATOL:
-            bound = float(_centring_bound(flat, q, mu))
-            if residual > bound:
-                raise StatBundleError(
-                    f"not a fiber vector: expectation residual {residual:.3e} "
-                    f"exceeds {bound:.3e}"
-                )
+        # All three operands one-row blocks of the same shape, so numpy can
+        # reuse the product's temporary instead of allocating another.
+        _fiber_rows(
+            self.base.values.reshape(1, -1),
+            self.base.space.weights.reshape(1, -1),
+            vals.reshape(1, -1),
+        )
         object.__setattr__(self, "values", _freeze(vals))
 
     def __repr__(self) -> str:

@@ -26,6 +26,7 @@ from .core import (
     ProductSpace,
     SampleSpace,
     StatBundleError,
+    _fiber_rows,
     expect,
     make_space,
     pairing,
@@ -334,8 +335,10 @@ def _check_chart_pipeline(rng, size: tuple[int, int]) -> float:
     v0 = mix_chart(p12, q12)
     h = m_transport(q12, p12, v)
     in_chart = condition_chart_derivatives(p1, p2, v0, h)
-    # The mixture transport from p2 to each conditional, row by row.
-    moved = p2.values / conditionals(q12) * in_chart
+    # The mixture transport (p2 / q21(.|x)) * w of m_transport, for every x
+    # at once; each moved row must be a fiber vector at its conditional.
+    cond = conditionals(q12)
+    moved = _fiber_rows(cond, space.right.weights, p2.values / cond * in_chart)
     return _maxabs(moved - conditional_derivatives(q12, v))
 
 

@@ -53,6 +53,10 @@ class TestMakeDensity:
         with pytest.raises(sb.BoundaryError, match="index 1"):
             sb.make_density(half_space, [1.2, 0.0])
 
+    def test_boundary_message_prints_a_plain_float(self, half_space):
+        with pytest.raises(sb.BoundaryError, match=r"value -0\.5 at index 1 "):
+            sb.make_density(half_space, [2.5, -0.5])
+
     def test_tiny_value_rejected(self, half_space):
         with pytest.raises(sb.BoundaryError):
             sb.make_density(half_space, [2.0, 1e-310])
@@ -247,12 +251,12 @@ class TestRowValidation:
         with pytest.raises(error) as per_row:
             sb.Density(space, np.array(bad_row))
         with pytest.raises(error) as table:
-            _density_rows(space, rows)
+            _density_rows(space.weights, rows)
         assert type(table.value) is type(per_row.value)
 
     def test_density_rows_renormalize_small_drift(self):
         space, rows = self._rows([0.4, 0.4, 0.2 + 2e-9])
-        table = _density_rows(space, rows.copy())
+        table = _density_rows(space.weights, rows.copy())
         np.testing.assert_array_equal(table[0], rows[0])
         np.testing.assert_array_equal(
             table[1], sb.Density(space, rows[1]).values
