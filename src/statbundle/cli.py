@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_positive_float, default=0.5)
     p.add_argument("--iters", type=_positive_int, default=200)
     p.add_argument("--tol", type=_positive_float, default=1e-8,
-                   help="stop when the gradient norm drops below this")
+                   help="stop when the natural step norm ||F^-1 g|| drops "
+                        "below this")
     p.add_argument("--out", required=True, help="output directory for CSV files")
 
     p = sub.add_parser("demo", help="generate example files and run everything")
@@ -174,9 +175,10 @@ def run_flow(family_path, target_path, mode, theta0, step, iters, tol, out_dir) 
     final = trace.final
     theta_text = ",".join(format(t, ".12g") for t in final.theta)
     print(
-        f"flow: converged={trace.converged} iterations={final.iteration} "
+        f"flow: converged={trace.converged} stop_reason={trace.stop_reason} "
+        f"iterations={final.iteration} "
         f"theta=[{theta_text}] objective={final.objective:.12g} "
-        f"grad_norm={final.grad_norm:.3e}"
+        f"grad_norm={final.grad_norm:.3e} step_norm={final.step_norm:.3e}"
     )
     return 0 if trace.converged else 1
 

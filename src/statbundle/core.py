@@ -382,13 +382,23 @@ def pairing(q: Density, w: FiberVector, v: FiberVector) -> float:
 
 
 def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:
-    """Project ``f`` onto the fiber at ``q`` by subtracting E_q[f]."""
+    """Project ``f`` onto the fiber at ``q`` by subtracting E_q[f].
+
+    The rounding error of E_q[f] scales with f's offset, not with the
+    spread the centred vector keeps, so a large offset can leave a
+    residual mean beyond the fiber tolerance; it is then subtracted too.
+    """
     arr = _as_float_array(f, "values")
     if arr.shape != q.values.shape:
         raise MismatchError(
             f"shape {arr.shape} does not match density shape {q.values.shape}"
         )
-    return FiberVector(q, arr - expect(q, arr), polarity)
+    centred = arr - expect(q, arr)
+    try:
+        return FiberVector(q, centred, polarity)
+    except StatBundleError:
+        pass
+    return FiberVector(q, centred - expect(q, centred), polarity)
 
 
 def random_density(space: Space, seed) -> Density:

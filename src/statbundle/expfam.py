@@ -13,12 +13,11 @@ R^d is a valid parameter domain and ``psi`` is the base cumulant of
   evaluates G(theta) once;
 * for a fixed margin r1, the parameter gradients of D(r1 || G1(theta))
   and D(G1(theta) || r1) are integrals of the conditional expectation
-  E_G[T - E_G[T] | X] against r1*mu1 and against log(r1/G1)*G1*mu1.
+  C = E_G[T - E_G[T] | X] against r1*mu1 and against log(r1/G1)*G1*mu1;
+* the Fisher matrix of the margin family is C diag(G1*mu1) C^T.
 
-The second integrand admits a weightless reading (``log(r1/G1)*mu1``);
-direct differentiation and the finite-difference oracle both select the
-G1-weighted one, which is the default.  :func:`natural_gradient_flow` runs
-plain Euler descent on either objective with backtracking.
+:func:`natural_gradient_flow` descends either objective along the
+Fisher-preconditioned gradient, with backtracking.
 """
 
 from __future__ import annotations
@@ -29,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BoundaryError,
     Density,
     FiberVector,
     MismatchError,
+    NormalizationError,
     ProductSpace,
     StatBundleError,
     _as_float_array,
@@ -221,6 +222,23 @@ def _check_margin(family: ExpFamily, r1: Density) -> Density:
     return r1
 
 
+def _kl_gradient(
+    family: ExpFamily, g: Density, g1: Density | None, r1: Density, mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient in theta of the flow objective of ``mode`` at the member g.
+
+    Returns the table C = E_G[T - E_G[T] | X] of
+    :func:`_centered_conditional_stats` with the gradient it integrates.
+    ``g1`` is the first margin of g; the left objective does not read it.
+    """
+    table = _centered_conditional_stats(family, g)
+    mu1 = family.space.left.weights
+    if mode == "left":
+        return table, -table @ (r1.values * mu1)
+    logratio = np.log(r1.values) - np.log(g1.values)
+    return table, -table @ (logratio * (mu1 * g1.values))
+
+
 def kl_theta_gradient_left(family: ExpFamily, theta, r1: Density) -> np.ndarray:
     """Gradient of theta -> D(r1 || G1(theta)).
 
@@ -228,52 +246,61 @@ def kl_theta_gradient_left(family: ExpFamily, theta, r1: Density) -> np.ndarray:
     """
     theta = _check_theta(family, theta)
     r1 = _check_margin(family, r1)
-    g = density(family, theta)
-    table = _centered_conditional_stats(family, g)
-    return -table @ (r1.values * family.space.left.weights)
+    return _kl_gradient(family, density(family, theta), None, r1, "left")[1]
 
 
-def kl_theta_gradient_right(
-    family: ExpFamily, theta, r1: Density, literal_weighting: bool = False
-) -> np.ndarray:
+def kl_theta_gradient_right(family: ExpFamily, theta, r1: Density) -> np.ndarray:
     """Gradient of theta -> D(G1(theta) || r1).
 
     g_j = -sum_x E_G[T_j - E_G[T_j] | X = x] * log(r1/G1)(x) * G1(x) * mu1(x).
-
-    ``literal_weighting`` drops the G1 factor from the integrand; that
-    reading fails the finite-difference check and is kept only for
-    comparison.
     """
     theta = _check_theta(family, theta)
     r1 = _check_margin(family, r1)
     g = density(family, theta)
-    g1 = marginalize(g)
-    table = _centered_conditional_stats(family, g)
-    logratio = np.log(r1.values) - np.log(g1.values)
-    weight = family.space.left.weights.copy()
-    if not literal_weighting:
-        weight *= g1.values
-    return -table @ (logratio * weight)
+    return _kl_gradient(family, g, marginalize(g), r1, "right")[1]
 
 
 @dataclass(frozen=True)
 class FlowRecord:
-    """One accepted state of a natural-gradient flow."""
+    """One accepted state of a natural-gradient flow.
+
+    ``grad_norm`` is the Euclidean norm of the gradient g at ``theta`` and
+    ``step_norm`` that of the natural direction F^-1 g, the quantity the
+    flow's ``tol`` is compared with.  ``step`` is the accepted step length,
+    reached from the initial one by ``halvings`` halvings.
+    """
 
     iteration: int
     theta: np.ndarray
     objective: float
     grad_norm: float
     step: float
+    halvings: int
+    step_norm: float
 
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Euler-descent trajectory; records carry strictly increasing iterations."""
+    """Natural-gradient trajectory; records carry strictly increasing iterations.
+
+    ``stop_reason`` is one of
+
+    * ``"converged"``: the natural step norm fell below the tolerance;
+    * ``"stalled"``: no trial step was accepted, because the objective
+      increased at 31 trial points or the step no longer moved theta;
+    * ``"iteration_cap"``: the iteration budget ran out;
+    * ``"boundary"``: the Fisher matrix was singular or the natural
+      direction not finite, as on the numerical boundary of the model or
+      where some direction of theta does not move the margin.
+    """
 
     records: list[FlowRecord]
-    converged: bool
     mode: str
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def final(self) -> FlowRecord:
@@ -289,62 +316,83 @@ def natural_gradient_flow(
     iters: int = 100,
     tol: float = 1e-8,
 ) -> FlowTrace:
-    """Euler descent of a parameterized KL objective.
+    """Natural-gradient descent of a parameterized KL objective.
 
     ``mode="left"`` descends D(r1 || G1(theta)); ``mode="right"`` descends
-    D(G1(theta) || r1).  Each iteration backtracks (halving the step, at
-    most 30 times) until the objective does not increase, so the recorded
-    objectives are non-increasing; stalling out of halvings stops the flow
-    unconverged.  Stops when the gradient norm drops below ``tol``.
+    D(G1(theta) || r1).  Each iteration steps along the natural direction
+    F^-1 g, where g is the gradient and F = C diag(G1 mu1) C^T, with
+    C = E_G[T - E_G[T] | X], is the Fisher matrix of the margin family.
+    A trial step is halved while its member leaves the model (``density``
+    raises :class:`BoundaryError` or :class:`NormalizationError`), and at
+    most 30 times while the objective increases, so the recorded
+    objectives are non-increasing.  Each trial point evaluates G(theta)
+    and its margin once; the accepted one reuses them for the objective,
+    the gradient and F.
+
+    Stops converged when ||F^-1 g|| drops below ``tol``; otherwise the
+    trace's ``stop_reason`` says why it stopped.  The Euclidean gradient
+    norm is no stopping rule: on a saturated plateau it underflows far
+    from the optimum, where the natural step stays large.
     """
-    if mode == "left":
-        grad_fn = lambda th: kl_theta_gradient_left(family, th, r1)
-        obj_fn = lambda th: kl(r1, marginalize(density(family, th)))
-    elif mode == "right":
-        grad_fn = lambda th: kl_theta_gradient_right(family, th, r1)
-        obj_fn = lambda th: kl(marginalize(density(family, th)), r1)
-    else:
+    if mode not in ("left", "right"):
         raise StatBundleError(f"unknown flow mode {mode!r}")
     if not step > 0.0:
         raise StatBundleError("step must be positive")
     if iters < 1:
         raise StatBundleError("iters must be at least 1")
     _check_margin(family, r1)
+    mu1 = family.space.left.weights
+
+    def objective_of(g1: Density) -> float:
+        return kl(r1, g1) if mode == "left" else kl(g1, r1)
 
     theta = _check_theta(family, theta0).copy()
-    objective = obj_fn(theta)
+    g = density(family, theta)
+    g1 = marginalize(g)
+    objective = objective_of(g1)
     if not math.isfinite(objective):
         raise ArithmeticError(f"non-finite objective {objective!r} at theta0")
-    grad = grad_fn(theta)
-    grad_norm = float(np.linalg.norm(grad))
-    records = [FlowRecord(0, theta.copy(), objective, grad_norm, step)]
-    if grad_norm < tol:
-        return FlowTrace(records, True, mode)
-
-    converged = False
-    for iteration in range(1, iters + 1):
-        trial_step = step
-        accepted = False
-        for _ in range(MAX_BACKTRACK_HALVINGS + 1):
-            candidate = theta - trial_step * grad
-            cand_obj = obj_fn(candidate)
-            if not math.isfinite(cand_obj):
-                raise ArithmeticError(
-                    f"non-finite objective {cand_obj!r} at iteration {iteration}"
-                )
-            if cand_obj <= objective:
-                accepted = True
-                break
-            trial_step *= 0.5
-        if not accepted:
-            break
-        theta, objective = candidate, cand_obj
-        grad = grad_fn(theta)
-        grad_norm = float(np.linalg.norm(grad))
+    records: list[FlowRecord] = []
+    iteration, trial_step, halvings = 0, step, 0
+    while True:
+        table, grad = _kl_gradient(family, g, g1, r1, mode)
+        fisher = (table * (g1.values * mu1)) @ table.T
+        try:
+            direction = np.linalg.solve(fisher, grad)
+        except np.linalg.LinAlgError:
+            direction = np.full_like(grad, np.nan)  # stops as "boundary"
+        step_norm = float(np.linalg.norm(direction))
         records.append(
-            FlowRecord(iteration, theta.copy(), objective, grad_norm, trial_step)
+            FlowRecord(
+                iteration, theta, objective, float(np.linalg.norm(grad)),
+                trial_step, halvings, step_norm,
+            )
         )
-        if grad_norm < tol:
-            converged = True
-            break
-    return FlowTrace(records, converged, mode)
+        if step_norm < tol:
+            return FlowTrace(records, mode, "converged")
+        if not math.isfinite(step_norm):
+            return FlowTrace(records, mode, "boundary")
+        if iteration == iters:
+            return FlowTrace(records, mode, "iteration_cap")
+
+        iteration += 1
+        trial_step, halvings, increases = step, 0, 0
+        while True:
+            candidate = theta - trial_step * direction
+            if np.array_equal(candidate, theta):
+                return FlowTrace(records, mode, "stalled")
+            try:
+                cand_g = density(family, candidate)
+            except (BoundaryError, NormalizationError):
+                pass  # the trial point left the model: halve without counting
+            else:
+                cand_g1 = marginalize(cand_g)
+                cand_obj = objective_of(cand_g1)
+                if cand_obj <= objective:
+                    break
+                increases += 1
+                if increases > MAX_BACKTRACK_HALVINGS:
+                    return FlowTrace(records, mode, "stalled")
+            trial_step *= 0.5
+            halvings += 1
+        theta, g, g1, objective = candidate, cand_g, cand_g1, cand_obj

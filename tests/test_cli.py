@@ -149,17 +149,31 @@ class TestFlowCommand:
              "--iters", "200", "--tol", "1e-7", "--out", str(out)]
         )
         assert rc == 0
-        assert "converged=True" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "converged=True" in stdout and "stop_reason=converged" in stdout
 
         header, rows = read_csv(out / "flow_summary.csv")
+        assert header == ["converged", "iterations", "objective", "grad_norm",
+                          "theta_0"]
         summary = dict(zip(header, rows[0]))
         assert summary["converged"] == "true"
         assert abs(float(summary["theta_0"])) < 1e-6
 
         header, rows = read_csv(out / "trace.csv")
+        assert header == ["iteration", "theta_0", "objective", "grad_norm", "step"]
         objectives = [float(r[header.index("objective")]) for r in rows]
         assert all(a >= b for a, b in zip(objectives, objectives[1:]))
         assert int(rows[-1][0]) <= 200
+
+    def test_iteration_cap_exits_nonzero(self, tmp_path, capsys):
+        family = write_fixture(tmp_path, "margin_family.json")
+        target = write_fixture(tmp_path, "flow_target.json")
+        rc = main(
+            ["flow", "--family", str(family), "--target", str(target),
+             "--theta0", "1.0", "--iters", "2", "--out", str(tmp_path / "flow")]
+        )
+        assert rc == 1
+        assert "stop_reason=iteration_cap" in capsys.readouterr().out
 
     def test_loose_tolerance_gives_single_row(self, tmp_path):
         family = write_fixture(tmp_path, "margin_family.json")

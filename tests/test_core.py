@@ -173,6 +173,23 @@ class TestCenter:
         out = sb.center(p, [1.0, -1.0])
         np.testing.assert_array_equal(out.values, [1.0, -1.0])
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_large_offset_small_spread(self, offset):
+        # The rounding error of the mean scales with the offset, which the
+        # fiber tolerance cannot see from the centred output; a single
+        # centring was rejected for many of these seeds.
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 5])
+            q = sb.random_density(sb.make_space(rng.uniform(0.2, 2.0, 3)), rng)
+            f = offset + rng.standard_normal(3)
+            v = sb.center(q, f)
+            assert abs(sb.expect(q, v.values)) <= 1e-12 * max(
+                1.0, sb.expect(q, np.abs(v.values))
+            )
+            np.testing.assert_allclose(
+                v.values, f - sb.expect(q, f), rtol=0, atol=1e-15 * offset
+            )
+
     def test_polarity_recorded(self, two_point):
         _, p, _, _ = two_point
         assert sb.center(p, [1.0, 0.0], "mixture").polarity == "mixture"

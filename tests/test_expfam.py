@@ -303,18 +303,22 @@ class TestParameterGradients:
         )
 
     def test_literal_weighting_fails_fd(self, margin_family):
-        # the weightless integrand is kept for comparison only; away from a
-        # flat margin it does not differentiate the divergence
+        # the weightless integrand log(r1/G1) * mu1, without the G1 factor,
+        # does not differentiate the divergence away from a flat margin
         r1 = sb.random_density(margin_family.space.left, 89)
         theta = np.array([1.0])
         numeric = fd_gradient(
             lambda th: sb.kl(sb.marginalize(sb.density(margin_family, th)), r1),
             theta,
         )
-        literal = sb.kl_theta_gradient_right(
-            margin_family, theta, r1, literal_weighting=True
-        )
+        g1 = sb.marginalize(sb.density(margin_family, theta))
+        table = sb.marginal_velocity(margin_family, theta, [1.0]).values
+        weightless = np.log(r1.values / g1.values) * margin_family.space.left.weights
+        literal = -(table @ weightless)
         assert np.max(np.abs(literal - numeric)) > 1e-3
+        np.testing.assert_allclose(
+            sb.kl_theta_gradient_right(margin_family, theta, r1), numeric, atol=1e-6
+        )
 
 
 class TestFlow:
@@ -323,9 +327,10 @@ class TestFlow:
         trace = sb.natural_gradient_flow(
             margin_family, [0.0], r1, mode="left", step=0.5, iters=50, tol=1e-6
         )
-        assert trace.converged
+        assert trace.converged and trace.stop_reason == "converged"
         assert len(trace.records) == 1
         assert trace.records[0].iteration == 0
+        assert trace.records[0].halvings == 0
 
     def test_log_cosh_descent(self, margin_family):
         r1 = sb.uniform_density(margin_family.space.left)
@@ -375,3 +380,86 @@ class TestFlow:
             sb.natural_gradient_flow(margin_family, [1.0], r1, step=0.0)
         with pytest.raises(sb.StatBundleError):
             sb.natural_gradient_flow(margin_family, [1.0], r1, iters=0)
+
+    def test_step_leaving_the_model_is_halved(self, margin_family):
+        # the first trial point, theta = 1 - 1000 sinh(2) / 2, underflows
+        # the member's density; it is rejected and halved, not raised
+        r1 = sb.uniform_density(margin_family.space.left)
+        trace = sb.natural_gradient_flow(margin_family, [1.0], r1, step=1000.0)
+        assert trace.records[1].halvings >= 10
+        objectives = [rec.objective for rec in trace.records]
+        assert all(a >= b for a, b in zip(objectives, objectives[1:]))
+        assert objectives[-1] < 1e-6 < objectives[0]
+
+    @pytest.mark.parametrize(
+        "mode, theta0",
+        [("left", 1.0), ("left", 5.0), ("left", 10.0), ("left", 40.0),
+         ("right", 1.0), ("right", 40.0)],
+    )
+    def test_converges_from_saturated_starts(self, margin_family, mode, theta0):
+        # From theta0 = 40 the left natural direction is about 1e34, so its
+        # first trial points leave the model and are halved
+        r1 = sb.uniform_density(margin_family.space.left)
+        trace = sb.natural_gradient_flow(
+            margin_family, [theta0], r1, mode=mode, step=0.5, iters=200, tol=1e-7
+        )
+        assert trace.converged
+        assert abs(trace.final.theta[0]) < 1e-6
+        assert trace.stop_reason == "converged"
+        assert trace.final.step_norm < 1e-7
+        objectives = [rec.objective for rec in trace.records]
+        assert all(a >= b for a, b in zip(objectives, objectives[1:]))
+
+    def test_saturated_plateau_is_not_convergence(self, margin_family):
+        # On the plateau the right objective sits near its maximum log 2 and
+        # its Euclidean gradient underflows; the natural step does not
+        r1 = sb.uniform_density(margin_family.space.left)
+        trace = sb.natural_gradient_flow(
+            margin_family, [40.0], r1, mode="right", step=0.5, iters=200, tol=1e-7
+        )
+        first = trace.records[0]
+        assert first.objective == pytest.approx(math.log(2.0), abs=1e-12)
+        assert first.grad_norm < 1e-30
+        assert len(trace.records) > 1
+        assert first.step_norm > 1.0
+
+    def test_stop_reasons(self, margin_family, diag_family):
+        r1 = sb.uniform_density(margin_family.space.left)
+        capped = sb.natural_gradient_flow(margin_family, [1.0], r1, iters=3)
+        assert capped.stop_reason == "iteration_cap" and not capped.converged
+        assert capped.final.iteration == 3
+        # the diagonal statistic never moves the margin: F is singular
+        flat = sb.natural_gradient_flow(diag_family, [0.5], r1)
+        assert flat.stop_reason == "boundary" and not flat.converged
+        assert len(flat.records) == 1
+        # below sqrt(eps) in theta the objective's rounding error hides
+        # every decrease, so the flow stalls next to the optimum
+        fam = random_family(4, 3, 2, 93)
+        target = sb.marginalize(sb.density(fam, [0.4, -0.7]))
+        stalled = sb.natural_gradient_flow(fam, [2.0, 1.5], target, tol=1e-14)
+        assert stalled.stop_reason == "stalled" and not stalled.converged
+        np.testing.assert_allclose(stalled.final.theta, [0.4, -0.7], atol=1e-6)
+
+    @pytest.mark.parametrize("case", ["boundary-halvings", "increase-halvings"])
+    def test_each_trial_point_evaluates_the_member_once(
+        self, monkeypatch, margin_family, case
+    ):
+        if case == "boundary-halvings":
+            fam, theta0, step = margin_family, [5.0], 0.5
+            target = sb.uniform_density(fam.space.left)
+        else:
+            fam, theta0, step = random_family(4, 3, 2, 93), [2.0, 1.5], 4.0
+            target = sb.marginalize(sb.density(fam, [0.4, -0.7]))
+        calls = []
+        inner = sb.expfam.exp_chart_inv
+
+        def counting(p, v):
+            calls.append(1)
+            return inner(p, v)
+
+        monkeypatch.setattr(sb.expfam, "exp_chart_inv", counting)
+        trace = sb.natural_gradient_flow(fam, theta0, target, step=step, tol=1e-7)
+        assert trace.converged
+        trials = sum(rec.halvings + 1 for rec in trace.records[1:])
+        assert trials > len(trace.records) - 1
+        assert len(calls) == trials + 1
