@@ -46,7 +46,6 @@ class Curve:
     at: Callable[[float], Density]
     t0: float = -math.inf
     t1: float = math.inf
-    description: str = ""
 
     def __call__(self, t: float) -> Density:
         if not (self.t0 <= t <= self.t1):
@@ -163,7 +162,6 @@ def mixture_curve(q: Density, w: FiberVector) -> Curve:
         at=lambda t: Density(q.space, (1.0 + t * w.values) * q.values),
         t0=-t_max,
         t1=t_max,
-        description="mixture line",
     )
 
 
@@ -171,6 +169,5 @@ def exponential_curve(p: Density, u: FiberVector) -> Curve:
     """The one-parameter exponential family t -> exp(t*u - K_p(t*u)) * p."""
     _require_same_base(u, p)
     return Curve(
-        at=lambda t: exp_chart_inv(p, FiberVector(p, t * u.values, "exponential")),
-        description="exponential arc",
+        at=lambda t: exp_chart_inv(p, FiberVector(p, t * u.values, "exponential"))
     )

@@ -4,9 +4,10 @@ Subcommands:
 
 * ``statbundle verify`` -- run the seeded verification suite and print a
   per-check residual table; exits nonzero when any check fails.
-* ``statbundle bayes``  -- marginalize/condition a joint density from a
-  JSON file, report the divergence chain rule, and (optionally) push a
-  velocity through both derivative maps; results land as CSV.
+* ``statbundle bayes``  -- marginalize a joint density from a JSON file,
+  tabulate its conditionals, report the divergence chain rule, and
+  (optionally) push a velocity through both derivative maps; results land
+  as CSV.
 * ``statbundle flow``   -- natural-gradient descent of a parameterized KL
   objective for an exponential family loaded from JSON.
 * ``statbundle demo``   -- generate the bundled example files and run the
@@ -93,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_float, default=1.0,
                    help="multiplicative slack on every check threshold")
 
-    p = sub.add_parser("bayes", help="marginalize and condition a joint density")
+    p = sub.add_parser(
+        "bayes", help="marginalize a joint density and tabulate its conditionals"
+    )
     p.add_argument("--joint", required=True, help="joint density JSON file")
     p.add_argument("--velocity", default=None,
                    help="optional fiber-vector JSON file at the joint")
@@ -277,10 +280,7 @@ def main(argv=None) -> int:
             )
         if args.command == "demo":
             return run_demo(args.out, args.seed)
-    except (StatBundleError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StatBundleError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

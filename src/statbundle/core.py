@@ -84,8 +84,9 @@ def _centring_bound(vals, q, mu):
 def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum(row * weights) for each row of a (k, n) block.
 
-    One ``np.dot`` per row, so a row's mass is the same float whether the
-    row is checked alone or inside a table.
+    One ``np.dot`` per row, so a :class:`Density`, checked as a one-row
+    block, and the same row inside a table get the same mass to the last
+    bit.
     """
     return np.fromiter((np.dot(row, weights) for row in rows), float, len(rows))
 

@@ -7,10 +7,10 @@ R^d is a valid parameter domain and ``psi`` is the base cumulant of
 
 * psi(theta) = D(p1 (x) p2 || G(theta)) and grad psi(theta) = E_G[T];
 * the model velocity is (T - E_G[T]) . thetadot, its margin the
-  conditional expectation of the same, its conditional the centered
-  x-section; :func:`conditional_velocities` gives every x-section as one
-  (n1, n2) table from a single evaluation of G(theta), and each velocity
-  evaluates G(theta) once;
+  conditional expectation of the same, and the velocities of its
+  conditionals the centered x-sections, which
+  :func:`conditional_velocities` gives as one (n1, n2) table; each
+  velocity evaluates G(theta) once;
 * for a fixed margin r1, the parameter gradients of D(r1 || G1(theta))
   and D(G1(theta) || r1) are integrals of the conditional expectation
   C = E_G[T - E_G[T] | X] against r1*mu1 and against log(r1/G1)*G1*mu1;
@@ -41,7 +41,7 @@ from .core import (
 )
 from .charts import exp_chart_inv, cumulant
 from .divergence import kl
-from .bayes import condition, conditionals, marginal_derivative, marginalize
+from .bayes import conditionals, marginal_derivative, marginalize
 
 GRAM_EIGENVALUE_FLOOR = 1e-10
 MAX_BACKTRACK_HALVINGS = 30
@@ -165,42 +165,19 @@ def marginal_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
     return marginal_derivative(g, _velocity(family, g, thetadot))
 
 
-def _section_rows(
-    stats: np.ndarray, thetadot: np.ndarray, cond: np.ndarray, mu2: np.ndarray
-) -> np.ndarray:
-    """(T(x, .) - E[T(x, .) | X = x]) . thetadot for each row x of a block.
-
-    ``stats`` holds the block's x-sections, shape (d, k, n2), and ``cond``
-    their conditionals, shape (k, n2).  The sum over statistics runs
-    elementwise, so a row does not depend on the rows around it.
-    """
-    means = (stats * (cond * mu2)).sum(axis=2)
-    return (thetadot[:, None, None] * (stats - means[:, :, None])).sum(axis=0)
-
-
 def conditional_velocities(family: ExpFamily, theta, thetadot) -> np.ndarray:
-    """All conditional velocities at once: the read-only (n1, n2) table whose
-    row x is :func:`conditional_velocity` at x, validated as a fiber vector
-    at q21(.|x).  Evaluates the member G(theta) once."""
+    """Velocities of all conditionals at once: the read-only (n1, n2) table
+    whose row x is the centered x-section (T(x, .) - E[T(x, .) | X = x]) .
+    thetadot, validated as a fiber vector at q21(.|x).  Evaluates the member
+    G(theta) once."""
     theta = _check_theta(family, theta)
     thetadot = _check_theta(family, thetadot)
     cond = conditionals(density(family, theta))
     mu2 = family.space.right.weights
-    return _fiber_rows(cond, mu2, _section_rows(family.stats, thetadot, cond, mu2))
-
-
-def conditional_velocity(family: ExpFamily, theta, thetadot, x: int) -> FiberVector:
-    """Velocity of the conditional at outcome x: the centered x-section
-    (T(x, .) - E[T(x, .) | X = x]) . thetadot."""
-    theta = _check_theta(family, theta)
-    thetadot = _check_theta(family, thetadot)
-    cond = condition(density(family, theta), x)
-    x = int(x)
-    section = family.stats[:, x : x + 1, :]
-    mu2 = cond.space.weights
-    return FiberVector(
-        cond, _section_rows(section, thetadot, cond.values, mu2)[0], "exponential"
-    )
+    stats = family.stats
+    means = (stats * (cond * mu2)).sum(axis=2)
+    rows = (thetadot[:, None, None] * (stats - means[:, :, None])).sum(axis=0)
+    return _fiber_rows(cond, mu2, rows)
 
 
 def _stats_expect(family: ExpFamily, g: Density) -> np.ndarray:

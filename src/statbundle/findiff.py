@@ -19,17 +19,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Step size and scheme options for the oracle."""
+    """Step size and Richardson option for the central-difference oracle."""
 
     h: float = 1e-5
-    scheme: str = "central"
     richardson: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.h < 1e-2:
             raise ValueError(f"step {self.h!r} outside (0, 1e-2)")
-        if self.scheme != "central":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
 
 
 DEFAULT = FDConfig()

@@ -464,7 +464,9 @@ def run_verification(
     ``trials`` instances are drawn per check and per size entry; single
     -space checks run once per distinct outcome count appearing in
     ``sizes``.  ``slack`` scales every threshold (handy for exploratory
-    runs; the defaults are the contractual tolerances).
+    runs; the defaults are the contractual tolerances).  An empty
+    ``names``, or one naming no check, raises :class:`StatBundleError`
+    rather than passing vacuously.
     """
     if seed < 0:
         raise StatBundleError("seed must be nonnegative")
@@ -475,6 +477,12 @@ def run_verification(
     sizes = tuple((int(a), int(b)) for a, b in sizes)
     if not sizes:
         raise StatBundleError("at least one size is required")
+    if names is not None:
+        if not names:
+            raise StatBundleError("at least one check name is required")
+        unknown = sorted(set(names) - {check.name for check in CHECKS})
+        if unknown:
+            raise StatBundleError(f"unknown check names: {', '.join(unknown)}")
     singles = sorted({n for pair in sizes for n in pair})
     started = time.perf_counter()
     results = []

@@ -55,31 +55,21 @@ class TestCondition:
         p1 = sb.random_density(sb.make_space([0.5, 0.5, 1.0]), 3)
         p2 = sb.random_density(sb.make_space([0.8, 1.2]), 4)
         q12 = sb.product_density(p1, p2)
+        table = sb.conditionals(q12)
         for x in range(3):
-            np.testing.assert_allclose(
-                sb.condition(q12, x).values, p2.values, atol=1e-14
-            )
+            np.testing.assert_allclose(table[x], p2.values, atol=1e-14)
 
     def test_worked_rows(self, joint_2x2):
         _, q12 = joint_2x2
-        np.testing.assert_allclose(sb.condition(q12, 0).values, [1.6, 0.4],
-                                   atol=1e-15)
-        np.testing.assert_allclose(sb.condition(q12, 1).values, [0.4, 1.6],
-                                   atol=1e-15)
-
-    def test_index_out_of_range(self, joint_2x2):
-        _, q12 = joint_2x2
-        with pytest.raises(sb.MismatchError, match="out of range"):
-            sb.condition(q12, 2)
+        np.testing.assert_allclose(
+            sb.conditionals(q12), [[1.6, 0.4], [0.4, 1.6]], atol=1e-15
+        )
 
     def test_reconstruction_identity(self):
         q12 = random_joint(3, 5, 8)
         q1 = sb.marginalize(q12)
-        for x in range(3):
-            rebuilt = q1.values[x] * sb.condition(q12, x).values
-            np.testing.assert_allclose(
-                rebuilt, q12.values[x], rtol=1e-15, atol=0.0
-            )
+        rebuilt = q1.values[:, None] * sb.conditionals(q12)
+        np.testing.assert_allclose(rebuilt, q12.values, rtol=1e-15, atol=0.0)
 
 
 class TestMarginalDerivative:
@@ -139,46 +129,64 @@ class TestConditionalDerivative:
     def test_left_measurable_velocity_dies(self, joint_2x2):
         _, q12 = joint_2x2
         v = sb.FiberVector(q12, [[1.0, 1.0], [-1.0, -1.0]], "mixture")
-        for x in range(2):
-            np.testing.assert_allclose(
-                sb.conditional_derivative(q12, x, v).values, 0.0, atol=1e-15
-            )
+        np.testing.assert_allclose(
+            sb.conditional_derivatives(q12, v), 0.0, atol=1e-15
+        )
 
     def test_worked_example(self, joint_2x2):
         _, q12 = joint_2x2
         v = sb.FiberVector(q12, [[0.4, -1.6], [-1.6, 0.4]], "mixture")
-        got = sb.conditional_derivative(q12, 0, v)
-        np.testing.assert_allclose(got.values, [0.4, -1.6], atol=1e-15)
+        got = sb.conditional_derivatives(q12, v)
+        np.testing.assert_allclose(got[0], [0.4, -1.6], atol=1e-15)
 
     def test_zero_conditional_expectation(self):
         q12 = random_joint(3, 5, 18)
         v = sb.random_fiber(q12, 19)
+        cond = sb.conditionals(q12)
+        table = sb.conditional_derivatives(q12, v)
         for x in range(3):
-            out = sb.conditional_derivative(q12, x, v)
-            assert abs(sb.expect(out.base, out.values)) <= 1e-12
+            base = sb.make_density(q12.space.right, cond[x])
+            assert abs(sb.expect(base, table[x])) <= 1e-12
 
     def test_matches_mixture_curve_fd(self):
         q12 = random_joint(2, 4, 20)
         v = sb.random_fiber(q12, 21)
         curve = sb.mixture_curve(q12, v)
-        for x in range(2):
-            base = sb.condition(q12, x)
-            numeric = fd_vector_curve(
-                lambda t: sb.mix_chart(base, sb.condition(curve(t), x)).values,
-                0.0,
-            )
-            np.testing.assert_allclose(
-                sb.conditional_derivative(q12, x, v).values, numeric, atol=1e-6
-            )
+        base = sb.conditionals(q12)
+        # row x is the mixture chart at q21(.|x) of the moving conditional
+        numeric = fd_vector_curve(
+            lambda t: sb.conditionals(curve(t)) / base - 1.0, 0.0
+        )
+        np.testing.assert_allclose(
+            sb.conditional_derivatives(q12, v), numeric, atol=1e-6
+        )
+
+
+def chart_expression(p1, p2, v):
+    """Conditioning read in mixture charts at p1 (x) p2 and p2: row x is the
+    mixture chart at p2 of the conditional at x of mix_chart_inv(p1 (x) p2, v).
+
+    Built from the inverse chart and the conditionals table only, so it
+    shares no code with :func:`statbundle.condition_chart_derivatives`.
+    """
+    p12 = sb.product_density(p1, p2)
+    w = sb.FiberVector(p12, v, "mixture")
+    return sb.conditionals(sb.mix_chart_inv(p12, w)) / p2.values - 1.0
 
 
 class TestConditioningInCharts:
     def test_zero_maps_to_zero(self, two_point):
         _, p, _, _ = two_point
         p12 = sb.product_density(p, p)
-        z = sb.FiberVector(p12, np.zeros((2, 2)), "mixture")
-        np.testing.assert_array_equal(
-            sb.condition_chart_expression(p, p, 0, z).values, 0.0
+        z = np.zeros((2, 2))
+        np.testing.assert_array_equal(chart_expression(p, p, z), 0.0)
+        # at the chart origin the chart derivative is the centered section
+        h = sb.random_fiber(p12, 61, "mixture")
+        zero = sb.FiberVector(p12, z, "mixture")
+        np.testing.assert_allclose(
+            sb.condition_chart_derivatives(p, p, zero, h),
+            sb.conditional_derivatives(p12, h),
+            atol=1e-15,
         )
 
     def test_worked_example(self, two_point, joint_2x2):
@@ -186,32 +194,41 @@ class TestConditioningInCharts:
         _, q12 = joint_2x2
         p12 = sb.product_density(p, p)
         v0 = sb.mix_chart(p12, q12)
-        got = sb.condition_chart_expression(p, p, 0, v0)
-        np.testing.assert_allclose(got.values, [0.6, -0.6], atol=1e-15)
+        np.testing.assert_allclose(
+            chart_expression(p, p, v0.values)[0], [0.6, -0.6], atol=1e-15
+        )
+        # row 0 of the joint moves as (1.6 + t, 0.4) with mass 1 + t/2,
+        # row 1 as (0.4, 1.6 - t) with mass 1 - t/2
+        h = sb.FiberVector(p12, [[1.0, 0.0], [0.0, -1.0]], "mixture")
+        np.testing.assert_allclose(
+            sb.condition_chart_derivatives(p, p, v0, h),
+            [[0.2, -0.2], [0.2, -0.2]],
+            atol=1e-15,
+        )
 
     def test_commutes_with_conditioning(self):
-        # the chart expression is exactly the chart of the conditioned
-        # inverse-chart density
+        # the closed form (v(x, .) - m) / (1 + m) is exactly the chart of
+        # the conditioned inverse-chart density
         left = sb.make_space([0.6, 1.4, 0.5])
         right = sb.make_space([0.9, 1.1])
         p1 = sb.random_density(left, 22)
         p2 = sb.random_density(right, 23)
         p12 = sb.product_density(p1, p2)
         v = sb.random_fiber(p12, 24, "mixture")
-        scale = 0.4 / float(np.max(np.abs(v.values)))
-        v = sb.FiberVector(p12, scale * v.values, "mixture")
-        q12 = sb.mix_chart_inv(p12, v)
-        for x in range(3):
-            via_chart = sb.condition_chart_expression(p1, p2, x, v).values
-            direct = sb.mix_chart(p2, sb.condition(q12, x)).values
-            np.testing.assert_allclose(via_chart, direct, atol=1e-12)
+        v = 0.4 / float(np.max(np.abs(v.values))) * v.values
+        m = np.sum(v * p2.values * right.weights, axis=1)[:, None]
+        closed_form = (v - m) / (1.0 + m)
+        np.testing.assert_allclose(
+            closed_form, chart_expression(p1, p2, v), atol=1e-12
+        )
 
     def test_boundary_denominator(self, two_point):
         _, p, _, _ = two_point
         p12 = sb.product_density(p, p)
         v = sb.FiberVector(p12, [[-1.5, -0.5], [0.5, 1.5]], "mixture")
+        h = sb.random_fiber(p12, 62, "mixture")
         with pytest.raises(sb.BoundaryError, match="leaves the model"):
-            sb.condition_chart_expression(p, p, 0, v)
+            sb.condition_chart_derivatives(p, p, v, h)
 
     def test_derivative_matches_fd(self):
         left = sb.make_space([0.6, 1.4])
@@ -222,15 +239,11 @@ class TestConditioningInCharts:
         v = sb.random_fiber(p12, 27, "mixture")
         v = sb.FiberVector(p12, 0.3 * v.values / np.max(np.abs(v.values)), "mixture")
         h = sb.random_fiber(p12, 28, "mixture")
-        for x in range(2):
-            analytic = sb.condition_chart_derivative(p1, p2, x, v, h).values
-            numeric = fd_vector_curve(
-                lambda t: sb.condition_chart_expression(
-                    p1, p2, x, sb.FiberVector(p12, v.values + t * h.values, "mixture")
-                ).values,
-                0.0,
-            )
-            np.testing.assert_allclose(analytic, numeric, atol=1e-6)
+        analytic = sb.condition_chart_derivatives(p1, p2, v, h)
+        numeric = fd_vector_curve(
+            lambda t: chart_expression(p1, p2, v.values + t * h.values), 0.0
+        )
+        np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
     def test_transport_pipeline_reconstructs_derivative(self):
         # chart the velocity down to the base product, differentiate the
@@ -242,26 +255,32 @@ class TestConditioningInCharts:
         p12 = sb.product_density(p1, p2)
         v0 = sb.mix_chart(p12, q12)
         h = sb.m_transport(q12, p12, v)
+        in_chart = sb.condition_chart_derivatives(p1, p2, v0, h)
+        cond = sb.conditionals(q12)
+        direct = sb.conditional_derivatives(q12, v)
         for x in range(3):
-            in_chart = sb.condition_chart_derivative(p1, p2, x, v0, h)
-            moved = sb.m_transport(p2, sb.condition(q12, x), in_chart)
-            direct = sb.conditional_derivative(q12, x, v)
-            np.testing.assert_allclose(moved.values, direct.values, atol=1e-10)
+            base = sb.make_density(q12.space.right, cond[x])
+            row = sb.FiberVector(p2, in_chart[x], "mixture")
+            moved = sb.m_transport(p2, base, row)
+            np.testing.assert_allclose(moved.values, direct[x], atol=1e-10)
 
 
 TABLE_SHAPES = [(2, 2), (2, 7), (7, 2), (5, 3)]
 
 
 class TestTables:
-    """Row x of each table is the per-x function at x, to the last bit."""
+    """Each table is a read-only (n1, n2) array that agrees with an
+    independent computation of its rows."""
 
     @pytest.mark.parametrize("shape", TABLE_SHAPES)
     def test_conditionals(self, shape):
         q12 = random_joint(*shape, 50)
         table = sb.conditionals(q12)
         assert table.shape == shape and not table.flags.writeable
-        for x in range(shape[0]):
-            np.testing.assert_array_equal(table[x], sb.condition(q12, x).values)
+        margin = np.array(enum_margin(q12))
+        np.testing.assert_allclose(
+            table, q12.values / margin[:, None], rtol=1e-14, atol=0.0
+        )
 
     @pytest.mark.parametrize("shape", TABLE_SHAPES)
     def test_conditional_derivatives(self, shape):
@@ -269,10 +288,15 @@ class TestTables:
         v = sb.random_fiber(q12, 52, "mixture")
         table = sb.conditional_derivatives(q12, v)
         assert table.shape == shape and not table.flags.writeable
-        for x in range(shape[0]):
-            np.testing.assert_array_equal(
-                table[x], sb.conditional_derivative(q12, x, v).values
-            )
+        n1, n2 = shape
+        mu2 = q12.space.right.weights
+        margin = enum_margin(q12)
+        for x in range(n1):
+            mean = math.fsum(
+                float(v.values[x, z]) * float(q12.values[x, z]) * float(mu2[z])
+                for z in range(n2)
+            ) / margin[x]
+            np.testing.assert_allclose(table[x], v.values[x] - mean, atol=1e-13)
 
     @pytest.mark.parametrize("shape", TABLE_SHAPES)
     def test_condition_chart_derivatives(self, shape):
@@ -284,35 +308,34 @@ class TestTables:
         h = sb.random_fiber(p12, 56, "mixture")
         table = sb.condition_chart_derivatives(p1, p2, v0, h)
         assert table.shape == shape and not table.flags.writeable
-        for x in range(shape[0]):
-            np.testing.assert_array_equal(
-                table[x], sb.condition_chart_derivative(p1, p2, x, v0, h).values
-            )
+        numeric = fd_vector_curve(
+            lambda t: chart_expression(p1, p2, v0.values + t * h.values), 0.0
+        )
+        np.testing.assert_allclose(table, numeric, atol=1e-6)
 
     def test_underflowing_conditional_rejected_like_condition(self, half_space):
-        # row 0 is a valid joint row whose conditional falls below the floor
+        # row 0 is a valid joint row whose conditional falls below the floor,
+        # which a Density built from that row rejects as well
         space = sb.ProductSpace(half_space, half_space)
         q12 = sb.make_density(space, [[1.5e-300, 3.9], [0.05, 0.05]])
         v = sb.random_fiber(q12, 57)
+        with pytest.raises(sb.BoundaryError):
+            sb.make_density(half_space, [1.5e-300 / 1.95, 3.9 / 1.95])
         with pytest.raises(sb.BoundaryError, match=r"\(0, 0\)"):
             sb.conditionals(q12)
         with pytest.raises(sb.BoundaryError):
-            sb.condition(q12, 0)
-        with pytest.raises(sb.BoundaryError):
             sb.conditional_derivatives(q12, v)
-        with pytest.raises(sb.BoundaryError):
-            sb.conditional_derivative(q12, 0, v)
 
     def test_chart_image_leaving_model_rejected_like_per_row(self, two_point):
+        # the error names the first outcome whose chart image leaves the model
         _, p, _, _ = two_point
         p12 = sb.product_density(p, p)
-        v = sb.FiberVector(p12, [[0.5, 1.5], [-1.5, -0.5]], "mixture")
         h = sb.random_fiber(p12, 58, "mixture")
-        with pytest.raises(sb.BoundaryError, match="at outcome 1"):
-            sb.condition_chart_derivatives(p, p, v, h)
-        with pytest.raises(sb.BoundaryError, match="at outcome 1"):
-            sb.condition_chart_derivative(p, p, 1, v, h)
-        sb.condition_chart_derivative(p, p, 0, v, h)
+        for rows, x in (([[0.5, 1.5], [-1.5, -0.5]], 1),
+                        ([[-1.5, -0.5], [0.5, 1.5]], 0)):
+            v = sb.FiberVector(p12, rows, "mixture")
+            with pytest.raises(sb.BoundaryError, match=f"at outcome {x}$"):
+                sb.condition_chart_derivatives(p, p, v, h)
 
     def test_base_mismatch(self, joint_2x2):
         _, q12 = joint_2x2
@@ -343,7 +366,8 @@ class TestChartDecomposition:
         # the conditional divergence is the same for both rows, so the
         # centering term vanishes
         np.testing.assert_allclose(dec.centering, 0.0, atol=1e-15)
-        assert sb.kl(p, sb.condition(q12, 0)) == pytest.approx(
+        cond0 = sb.make_density(q12.space.right, sb.conditionals(q12)[0])
+        assert sb.kl(p, cond0) == pytest.approx(
             -0.5 * math.log(0.64), abs=1e-12
         )
         assert dec.residual <= 1e-12

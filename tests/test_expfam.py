@@ -177,8 +177,8 @@ class TestVelocities:
         np.testing.assert_allclose(direct.values, composed.values, atol=1e-14)
 
     def test_conditional_velocity_at_origin(self, diag_family):
-        out = sb.conditional_velocity(diag_family, [0.0], [1.0], 0)
-        np.testing.assert_allclose(out.values, [1.0, -1.0], atol=1e-14)
+        out = sb.conditional_velocities(diag_family, [0.0], [1.0])
+        np.testing.assert_allclose(out[0], [1.0, -1.0], atol=1e-14)
 
     def test_conditional_velocity_matches_composition(self):
         fam = random_family(2, 4, 2, 82)
@@ -186,11 +186,9 @@ class TestVelocities:
         thetadot = np.array([0.6, 0.8])
         g = sb.density(fam, theta)
         joint = sb.joint_velocity(fam, theta, thetadot)
-        for x in range(2):
-            direct = sb.conditional_velocity(fam, theta, thetadot, x)
-            composed = sb.conditional_derivative(g, x, joint)
-            np.testing.assert_allclose(direct.values, composed.values,
-                                       atol=1e-14)
+        direct = sb.conditional_velocities(fam, theta, thetadot)
+        composed = sb.conditional_derivatives(g, joint)
+        np.testing.assert_allclose(direct, composed, atol=1e-14)
 
     @pytest.mark.parametrize(
         "shape, d", [((2, 2), 1), ((2, 7), 3), ((7, 2), 2), ((5, 3), 3)]
@@ -201,10 +199,22 @@ class TestVelocities:
         thetadot = np.linspace(1.1, -0.4, d)
         table = sb.conditional_velocities(fam, theta, thetadot)
         assert table.shape == shape and not table.flags.writeable
-        for x in range(shape[0]):
-            np.testing.assert_array_equal(
-                table[x], sb.conditional_velocity(fam, theta, thetadot, x).values
-            )
+        # row x is the centered x-section sum_j thetadot_j (T_j(x, .) - mean)
+        weights = sb.conditionals(sb.density(fam, theta)) * fam.space.right.weights
+        n1, n2 = shape
+        for x in range(n1):
+            means = [
+                math.fsum(float(fam.stats[j, x, k] * weights[x, k]) for k in range(n2))
+                for j in range(d)
+            ]
+            expected = [
+                math.fsum(
+                    float(thetadot[j]) * (float(fam.stats[j, x, z]) - means[j])
+                    for j in range(d)
+                )
+                for z in range(n2)
+            ]
+            np.testing.assert_allclose(table[x], expected, atol=1e-13)
 
     def test_each_velocity_evaluates_the_member_once(self, monkeypatch):
         fam = random_family(3, 4, 2, 86)
@@ -241,17 +251,14 @@ class TestVelocities:
         np.testing.assert_allclose(
             sb.marginal_velocity(fam, theta, thetadot).values, numeric, atol=1e-6
         )
-        for x in range(2):
-            base = sb.condition(g, x)
-            numeric = fd_vector_curve(
-                lambda t: sb.mix_chart(base, sb.condition(member(t), x)).values,
-                0.0,
-            )
-            np.testing.assert_allclose(
-                sb.conditional_velocity(fam, theta, thetadot, x).values,
-                numeric,
-                atol=1e-6,
-            )
+        # row x is the mixture chart at q21(.|x) of the moving conditional
+        base = sb.conditionals(g)
+        numeric = fd_vector_curve(
+            lambda t: sb.conditionals(member(t)) / base - 1.0, 0.0
+        )
+        np.testing.assert_allclose(
+            sb.conditional_velocities(fam, theta, thetadot), numeric, atol=1e-6
+        )
 
 
 class TestParameterGradients:

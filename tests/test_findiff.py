@@ -11,7 +11,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = FDConfig()
         assert cfg.h == 1e-5
-        assert cfg.scheme == "central"
         assert not cfg.richardson
 
     def test_step_bounds(self):
@@ -19,10 +18,6 @@ class TestConfig:
             FDConfig(h=0.0)
         with pytest.raises(ValueError):
             FDConfig(h=0.5)
-
-    def test_scheme_locked(self):
-        with pytest.raises(ValueError):
-            FDConfig(scheme="forward")
 
 
 class TestScalar:

@@ -53,6 +53,10 @@ def test_config_validation():
         run_verification(sizes=[])
     with pytest.raises(sb.StatBundleError):
         run_verification(slack=0.0)
+    with pytest.raises(sb.StatBundleError, match="no-such-check"):
+        run_verification(trials=1, names=["kl-chain", "no-such-check"])
+    with pytest.raises(sb.StatBundleError):
+        run_verification(trials=1, names=[])
 
 
 def test_format_report_table():
