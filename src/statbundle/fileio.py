@@ -9,16 +9,22 @@ Inputs are hand-editable JSON:
              "stats": [[[...], ...], ...]}
 * velocity: {"values": [[...], ...]}  (a fiber vector at a given joint)
 
+A file that is not valid JSON, or an array that is ragged or holds a
+non-number, is a :class:`StatBundleError` naming the file and the key.
+
 Outputs are CSV with every float printed to 17 significant digits, which
 round-trips float64 exactly, so reruns with identical configuration are
-byte-identical and diffable.
+byte-identical and diffable.  The writers take whole columns and format
+each column at once, in blocks of a fixed number of rows, so the strings
+of only one block are held at a time; the bytes are those of formatting
+each cell with ``format(x, ".17g")``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,18 +39,16 @@ from .core import (
 from .expfam import ExpFamily, make_expfam
 from .verify import Report
 
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".17g")
+# Rows formatted and written per block: bounds the strings held at once.
+_BLOCK_ROWS = 4096
 
 
 def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise StatBundleError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise StatBundleError(f"{path}: expected a JSON object at top level")
     return obj
@@ -56,10 +60,20 @@ def _require(obj: dict, key: str, path) -> object:
     return obj[key]
 
 
+def _floats(obj: dict, key: str, path) -> np.ndarray:
+    """``obj[key]`` as a float array, or an error naming the file and key."""
+    try:
+        return np.asarray(_require(obj, key, path), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StatBundleError(
+            f"{path}: key {key!r} must be a rectangular array of numbers ({exc})"
+        ) from None
+
+
 def _space_from(obj: object, path) -> SampleSpace:
     if not isinstance(obj, dict) or "weights" not in obj:
         raise StatBundleError(f'{path}: a space must be {{"weights": [...]}}')
-    return make_space(obj["weights"])
+    return make_space(_floats(obj, "weights", path))
 
 
 def load_space(path) -> SampleSpace:
@@ -69,7 +83,7 @@ def load_space(path) -> SampleSpace:
 def load_density(path) -> Density:
     obj = _load_json(path)
     space = _space_from(_require(obj, "space", path), path)
-    return Density(space, np.asarray(_require(obj, "values", path), dtype=float))
+    return Density(space, _floats(obj, "values", path))
 
 
 def load_joint(path) -> Density:
@@ -78,24 +92,21 @@ def load_joint(path) -> Density:
         _space_from(_require(obj, "left", path), path),
         _space_from(_require(obj, "right", path), path),
     )
-    values = np.asarray(_require(obj, "values", path), dtype=float)
-    return Density(space, values)
+    return Density(space, _floats(obj, "values", path))
 
 
 def load_velocity(path, joint: Density) -> FiberVector:
     obj = _load_json(path)
-    values = np.asarray(_require(obj, "values", path), dtype=float)
-    return FiberVector(joint, values, "mixture")
+    return FiberVector(joint, _floats(obj, "values", path), "mixture")
 
 
 def load_family(path) -> ExpFamily:
     obj = _load_json(path)
     left = _space_from(_require(obj, "left", path), path)
     right = _space_from(_require(obj, "right", path), path)
-    base1 = Density(left, np.asarray(_require(obj, "base1", path), dtype=float))
-    base2 = Density(right, np.asarray(_require(obj, "base2", path), dtype=float))
-    stats = np.asarray(_require(obj, "stats", path), dtype=float)
-    return make_expfam(base1, base2, stats)
+    base1 = Density(left, _floats(obj, "base1", path))
+    base2 = Density(right, _floats(obj, "base2", path))
+    return make_expfam(base1, base2, _floats(obj, "stats", path))
 
 
 def write_json(path, obj: dict) -> None:
@@ -106,54 +117,84 @@ def write_json(path, obj: dict) -> None:
         fh.write("\n")
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _strings(block: np.ndarray) -> list[str]:
+    """The cells of a 1-d column block as CSV fields.
+
+    Floats give the bytes of ``format(x, ".17g")``, integers those of
+    ``str(x)``, and strings are written as they are.
+    """
+    kind = block.dtype.kind
+    if kind == "f":
+        return list(map("%.17g".__mod__, block.tolist()))
+    if kind in "iu":
+        return list(map(str, block.tolist()))
+    if kind == "U":
+        return block.tolist()
+    raise TypeError(f"cannot write a CSV column of dtype {block.dtype}")
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write one CSV column per header name; the columns have equal length."""
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
+        raise ValueError("write_csv needs one 1-d column per header name, "
+                         "all of the same length")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for start in range(0, rows, _BLOCK_ROWS):
+            cells = [_strings(c[start:start + _BLOCK_ROWS]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_marginal_csv(path, q1: Density) -> None:
-    rows = [
-        (x, q1.space.weights[x], q1.values[x]) for x in range(q1.space.size)
-    ]
-    write_csv(path, ("x", "weight", "value"), rows)
+    write_csv(
+        path,
+        ("x", "weight", "value"),
+        (np.arange(q1.space.size), q1.space.weights, q1.values),
+    )
 
 
 def write_kl_chain_csv(path, chain) -> None:
     write_csv(
         path,
         ("total", "marginal_term", "conditional_term", "residual"),
-        [(chain.total, chain.marginal_term, chain.conditional_term, chain.residual)],
+        ([chain.total], [chain.marginal_term], [chain.conditional_term],
+         [chain.residual]),
     )
 
 
 def write_vector_csv(path, name: str, values: np.ndarray) -> None:
-    write_csv(path, ("x", name), list(enumerate(values)))
+    write_csv(path, ("x", name), (np.arange(len(values)), values))
 
 
 def write_table_csv(path, name: str, table: np.ndarray) -> None:
-    rows = []
-    for x in range(table.shape[0]):
-        for y in range(table.shape[1]):
-            rows.append((x, y, table[x, y]))
-    write_csv(path, ("x", "y", name), rows)
+    n1, n2 = table.shape
+    write_csv(
+        path,
+        ("x", "y", name),
+        (np.repeat(np.arange(n1), n2), np.tile(np.arange(n2), n1), table.ravel()),
+    )
 
 
 def write_trace_csv(path, trace) -> None:
-    dim = trace.records[0].theta.size
+    records = trace.records
+    thetas = np.array([rec.theta for rec in records], dtype=float)
     header = (
         ["iteration"]
-        + [f"theta_{j}" for j in range(dim)]
+        + [f"theta_{j}" for j in range(thetas.shape[1])]
         + ["objective", "grad_norm", "step"]
     )
-    rows = [
-        [rec.iteration, *rec.theta, rec.objective, rec.grad_norm, rec.step]
-        for rec in trace.records
-    ]
-    write_csv(path, header, rows)
+    columns = (
+        [[rec.iteration for rec in records]]
+        + list(thetas.T)
+        + [[rec.objective for rec in records],
+           [rec.grad_norm for rec in records],
+           [rec.step for rec in records]]
+    )
+    write_csv(path, header, columns)
 
 
 def write_flow_summary_csv(path, trace) -> None:
@@ -169,15 +210,17 @@ def write_flow_summary_csv(path, trace) -> None:
         final.grad_norm,
         *final.theta,
     ]
-    write_csv(path, header, [row])
+    write_csv(path, header, [[cell] for cell in row])
 
 
 def write_report_csv(path, report: Report) -> None:
-    rows = [
-        (c.name, c.instances, c.max_residual, c.threshold,
-         "PASS" if c.passed else "FAIL")
-        for c in report.checks
-    ]
+    checks = report.checks
     write_csv(
-        path, ("check", "instances", "max_residual", "threshold", "status"), rows
+        path,
+        ("check", "instances", "max_residual", "threshold", "status"),
+        ([c.name for c in checks],
+         [c.instances for c in checks],
+         [c.max_residual for c in checks],
+         [c.threshold for c in checks],
+         ["PASS" if c.passed else "FAIL" for c in checks]),
     )

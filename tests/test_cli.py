@@ -130,6 +130,29 @@ class TestBayesCommand:
         assert rc == 2
         assert "residual" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"left": {"weights": [0.5, 0.5]},', None),
+            ('{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [0.5, 0.5]},'
+             ' "values": [[1.6, 0.4], [0.4]]}', "values"),
+            ('{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [0.5, 0.5]},'
+             ' "values": [[1.6, 0.4], [0.4, "x"]]}', "values"),
+            ('{"left": {"weights": [0.5, "half"]}, "right": {"weights": [0.5, 0.5]},'
+             ' "values": [[1.6, 0.4], [0.4, 1.6]]}', "weights"),
+        ],
+        ids=["invalid-json", "ragged", "non-numeric", "non-numeric-weights"],
+    )
+    def test_malformed_joint_names_file(self, tmp_path, capsys, text, key):
+        joint = tmp_path / "malformed.json"
+        joint.write_text(text)
+        rc = main(["bayes", "--joint", str(joint), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(joint) in err
+        if key is not None:
+            assert repr(key) in err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(
             ["bayes", "--joint", str(tmp_path / "nope.json"), "--out",
@@ -220,16 +243,16 @@ class TestFlowCommand:
         assert "dependent" in capsys.readouterr().err
 
 
-def test_csv_floats_round_trip():
+def test_csv_floats_round_trip(tmp_path):
     # 17 significant digits reproduce float64 exactly on read-back
     import numpy as np
 
-    from statbundle.fileio import _fmt
-
     rng = np.random.default_rng(0)
     samples = list(rng.normal(0, 1, 50)) + [1.0, 0.1, math.pi, 1e-300, 1e300]
-    for x in samples:
-        assert float(_fmt(float(x))) == float(x)
+    path = tmp_path / "floats.csv"
+    fileio.write_csv(path, ["v"], [np.array(samples)])
+    _, rows = read_csv(path)
+    assert [float(r[0]) for r in rows] == samples
 
 
 def test_module_entry_point(tmp_path):

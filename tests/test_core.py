@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import statbundle as sb
-from statbundle.core import _density_rows, _fiber_rows
+from statbundle.core import _density_rows, _fiber_rows, _row_masses
 
 
 class TestMakeSpace:
@@ -295,6 +295,20 @@ class TestRowValidation:
         assert type(table.value) is type(per_row.value)
         accepted = _fiber_rows(q.values, space.weights, rows[:1].copy())
         np.testing.assert_array_equal(accepted[0], sb.FiberVector(q, good).values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 300])
+def test_one_row_mass_matches_table_row(n):
+    # A Density is checked as a one-row block; its mass must be the bits of
+    # the same row's mass inside a table.
+    rng = np.random.default_rng(n)
+    weights = rng.uniform(0.2, 2.0, n)
+    table = rng.random((6, n))
+    masses = _row_masses(table, weights)
+    for i in range(len(table)):
+        one = _row_masses(table[i : i + 1], weights)
+        assert one.shape == (1,)
+        assert one.tobytes() == masses[i : i + 1].tobytes()
 
 
 class TestRandomDensity:
