@@ -88,8 +88,6 @@ def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     block, and the same row inside a table get the same mass to the last
     bit.
     """
-    if len(rows) == 1:
-        return np.array([np.dot(rows[0], weights)])
     return np.fromiter((np.dot(row, weights) for row in rows), float, len(rows))
 
 

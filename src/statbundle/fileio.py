@@ -9,8 +9,9 @@ Inputs are hand-editable JSON:
              "stats": [[[...], ...], ...]}
 * velocity: {"values": [[...], ...]}  (a fiber vector at a given joint)
 
-A file that is not valid JSON, or an array that is ragged or holds a
-non-number, is a :class:`StatBundleError` naming the file and the key.
+A file that is not valid JSON, or an array that is ragged or holds
+anything but JSON numbers (a string such as ``"0.4"``, a boolean, null),
+is a :class:`StatBundleError` naming the file and the key.
 
 Outputs are CSV with every float printed to 17 significant digits, which
 round-trips float64 exactly, so reruns with identical configuration are
@@ -60,14 +61,31 @@ def _require(obj: dict, key: str, path) -> object:
     return obj[key]
 
 
+def _numbers_only(obj) -> bool:
+    """True if every leaf of nested JSON lists is a JSON number.
+
+    ``np.asarray(..., dtype=float)`` would read ``"0.4"`` as 0.4, ``true``
+    as 1.0 and ``null`` as nan, so those are rejected here.
+    """
+    if type(obj) is list:
+        if obj and type(obj[0]) is not list:
+            return {*map(type, obj)} <= {int, float}
+        return all(map(_numbers_only, obj))
+    return type(obj) is int or type(obj) is float
+
+
 def _floats(obj: dict, key: str, path) -> np.ndarray:
     """``obj[key]`` as a float array, or an error naming the file and key."""
+    raw = _require(obj, key, path)
     try:
-        return np.asarray(_require(obj, key, path), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StatBundleError(
-            f"{path}: key {key!r} must be a rectangular array of numbers ({exc})"
-        ) from None
+        if _numbers_only(raw):
+            return np.asarray(raw, dtype=float)
+        problem = "found a string, boolean, null or object"
+    except (ValueError, OverflowError) as exc:  # ragged, or an int too large
+        problem = str(exc)
+    raise StatBundleError(
+        f"{path}: key {key!r} must be a rectangular array of numbers ({problem})"
+    )
 
 
 def _space_from(obj: object, path) -> SampleSpace:
@@ -149,6 +167,11 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def _columns(rows: Sequence[Sequence], width: int) -> list:
+    """The columns of a few rows, for the writers that build rows."""
+    return list(zip(*rows)) or [()] * width
+
+
 def write_marginal_csv(path, q1: Density) -> None:
     write_csv(
         path,
@@ -161,8 +184,8 @@ def write_kl_chain_csv(path, chain) -> None:
     write_csv(
         path,
         ("total", "marginal_term", "conditional_term", "residual"),
-        ([chain.total], [chain.marginal_term], [chain.conditional_term],
-         [chain.residual]),
+        _columns([(chain.total, chain.marginal_term, chain.conditional_term,
+                   chain.residual)], 4),
     )
 
 
@@ -180,21 +203,17 @@ def write_table_csv(path, name: str, table: np.ndarray) -> None:
 
 
 def write_trace_csv(path, trace) -> None:
-    records = trace.records
-    thetas = np.array([rec.theta for rec in records], dtype=float)
+    dim = trace.records[0].theta.size
     header = (
         ["iteration"]
-        + [f"theta_{j}" for j in range(thetas.shape[1])]
+        + [f"theta_{j}" for j in range(dim)]
         + ["objective", "grad_norm", "step"]
     )
-    columns = (
-        [[rec.iteration for rec in records]]
-        + list(thetas.T)
-        + [[rec.objective for rec in records],
-           [rec.grad_norm for rec in records],
-           [rec.step for rec in records]]
-    )
-    write_csv(path, header, columns)
+    rows = [
+        [rec.iteration, *rec.theta, rec.objective, rec.grad_norm, rec.step]
+        for rec in trace.records
+    ]
+    write_csv(path, header, _columns(rows, len(header)))
 
 
 def write_flow_summary_csv(path, trace) -> None:
@@ -210,17 +229,17 @@ def write_flow_summary_csv(path, trace) -> None:
         final.grad_norm,
         *final.theta,
     ]
-    write_csv(path, header, [[cell] for cell in row])
+    write_csv(path, header, _columns([row], len(header)))
 
 
 def write_report_csv(path, report: Report) -> None:
-    checks = report.checks
+    rows = [
+        (c.name, c.instances, c.max_residual, c.threshold,
+         "PASS" if c.passed else "FAIL")
+        for c in report.checks
+    ]
     write_csv(
         path,
         ("check", "instances", "max_residual", "threshold", "status"),
-        ([c.name for c in checks],
-         [c.instances for c in checks],
-         [c.max_residual for c in checks],
-         [c.threshold for c in checks],
-         ["PASS" if c.passed else "FAIL" for c in checks]),
+        _columns(rows, 5),
     )

@@ -140,8 +140,15 @@ class TestBayesCommand:
              ' "values": [[1.6, 0.4], [0.4, "x"]]}', "values"),
             ('{"left": {"weights": [0.5, "half"]}, "right": {"weights": [0.5, 0.5]},'
              ' "values": [[1.6, 0.4], [0.4, 1.6]]}', "weights"),
+            ('{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [0.5, 0.5]},'
+             ' "values": [[1.6, "0.4"], [0.4, 1.6]]}', "values"),
+            ('{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [true, 0.5]},'
+             ' "values": [[1.6, 0.4], [0.4, 1.6]]}', "weights"),
+            ('{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [0.5, 0.5]},'
+             ' "values": [[1.6, 0.4], [null, 1.6]]}', "values"),
         ],
-        ids=["invalid-json", "ragged", "non-numeric", "non-numeric-weights"],
+        ids=["invalid-json", "ragged", "non-numeric", "non-numeric-weights",
+             "numeric-string", "boolean", "null"],
     )
     def test_malformed_joint_names_file(self, tmp_path, capsys, text, key):
         joint = tmp_path / "malformed.json"
