@@ -26,11 +26,12 @@ from .core import (
     NormalizationError,
     StatBundleError,
     _coord_label,
+    _expect,
     _require_same_base,
     _require_same_space,
     center,
-    expect,
 )
+from .findiff import FDConfig, fd_vector_curve
 
 INVERSE_CHART_DRIFT_LIMIT = 1e-10
 
@@ -63,11 +64,11 @@ def cumulant(p: Density, u: FiberVector) -> float:
     _require_same_base(u, p)
     vals = u.values.ravel()
     w = (p.values * p.space.weights).ravel()
-    m = float(np.max(vals))
-    s = float(np.sum(w * np.exp(vals - m)))
+    m = float(vals.max())
+    s = float((w * np.exp(vals - m)).sum())
     # Dividing by sum(w) rather than 1 pins cumulant(p, 0) == 0 exactly,
     # even when the weights only sum to 1 up to float round-off.
-    return m + np.log(s) - np.log(float(np.sum(w)))
+    return m + np.log(s) - np.log(float(w.sum()))
 
 
 def exp_chart(p: Density, q: Density) -> FiberVector:
@@ -123,7 +124,7 @@ def e_transport(p: Density, q: Density, v: FiberVector) -> FiberVector:
     """Exponential transport from p to q: v - E_q[v]."""
     _require_same_base(v, p)
     _require_same_space(p.space, q.space)
-    return FiberVector(q, v.values - expect(q, v.values), v.polarity)
+    return FiberVector(q, v.values - _expect(q, v.values), v.polarity)
 
 
 def m_transport(p: Density, q: Density, w: FiberVector) -> FiberVector:
@@ -136,17 +137,20 @@ def m_transport(p: Density, q: Density, w: FiberVector) -> FiberVector:
 def score_velocity(curve: Curve, t: float, h: float = 1e-5) -> FiberVector:
     """Fisher score d/dt log q(t) by central differences.
 
-    The raw difference quotient is re-centered under q(t) to remove the
-    O(h^2) mean drift, so the result is an exact fiber vector.
+    The difference quotient of :func:`~statbundle.findiff.fd_vector_curve`
+    on log q is re-centered under q(t) to remove the O(h^2) mean drift, so
+    the result is an exact fiber vector.  ``h`` must lie in (0, 1e-2).
     """
     if not (curve.t0 <= t - h and t + h <= curve.t1):
         raise StatBundleError(
             f"central difference at t={t} with h={h} leaves the curve "
             f"domain [{curve.t0}, {curve.t1}]"
         )
-    qt = curve(t)
-    diff = (np.log(curve(t + h).values) - np.log(curve(t - h).values)) / (2.0 * h)
-    return center(qt, diff, "exponential")
+    return center(
+        curve(t),
+        fd_vector_curve(lambda s: np.log(curve(s).values), t, FDConfig(h)),
+        "exponential",
+    )
 
 
 def mixture_curve(q: Density, w: FiberVector) -> Curve:

@@ -51,7 +51,7 @@ class MismatchError(StatBundleError):
 
 def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise StatBundleError(f"{name} contains a non-finite entry")
     return arr
 
@@ -63,9 +63,7 @@ def _coord_label(shape: tuple[int, ...], flat_index: int) -> str:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=float)
-    if out is arr:
-        out = arr.copy()
+    out = np.array(arr, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
@@ -104,6 +102,17 @@ def _density_rows(weights: np.ndarray, rows: np.ndarray, shape=None) -> np.ndarr
     larger drift is rejected.  Errors name an entry by its index in an
     array of ``shape`` (default: the block's).  Returns the block read-only.
     """
+    # The passing path in two tests: min() >= floor also fails on NaN and
+    # -inf, and +inf fails the drift test.  Anything else takes the checks
+    # below, in their order, so that the first rule broken is the one named.
+    if rows.min() >= POSITIVITY_FLOOR:
+        if len(rows) == 1:  # a Density: its mass as a scalar, the same np.dot
+            drift = abs(np.dot(rows[0], weights) - 1.0)
+        else:
+            drift = np.abs(_row_masses(rows, weights) - 1.0).max()
+        if drift <= NORMALIZATION_ATOL:
+            rows.flags.writeable = False
+            return rows
     if not np.isfinite(rows).all():
         raise StatBundleError("density values contains a non-finite entry")
     if rows.min() < POSITIVITY_FLOOR:
@@ -129,6 +138,9 @@ def _density_rows(weights: np.ndarray, rows: np.ndarray, shape=None) -> np.ndarr
     return rows
 
 
+# A row holding infinities of both signs sums to NaN: without a warning,
+# so that it reaches the non-finite error below.
+@np.errstate(invalid="ignore")
 def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Check each row of a fresh (k, n) block as a fiber vector.
 
@@ -138,9 +150,15 @@ def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarra
     centring residual within the scaled tolerance.  Returns the block
     read-only.
     """
+    # The passing path in one test: a non-finite entry makes its row's
+    # residual NaN or infinite, which fails it.  Anything else takes the
+    # checks below, in their order.
+    residual = np.abs((rows * base * mu).sum(axis=1))
+    if residual.max() <= FIBER_ATOL:
+        rows.flags.writeable = False
+        return rows
     if not np.isfinite(rows).all():
         raise StatBundleError("fiber values contains a non-finite entry")
-    residual = np.abs((rows * base * mu).sum(axis=1))
     if residual.max() > FIBER_ATOL:
         over = np.flatnonzero(residual > FIBER_ATOL)
         bases = np.broadcast_to(base, rows.shape)[over]
@@ -169,9 +187,8 @@ class SampleSpace:
             raise StatBundleError("sample-space weights must be a 1-d vector")
         if w.size < 2:
             raise StatBundleError("a sample space needs at least 2 outcomes")
-        bad = np.flatnonzero(w <= 0.0)
-        if bad.size:
-            i = int(bad[0])
+        if w.min() <= 0.0:
+            i = int(np.flatnonzero(w <= 0.0)[0])
             raise BoundaryError(f"non-positive weight {w[i]!r} at index {i}")
         object.__setattr__(self, "weights", _freeze(w))
 
@@ -357,6 +374,11 @@ def product_density(p1: Density, p2: Density) -> Density:
     return Density(space, np.outer(p1.values, p2.values))
 
 
+def _expect(q: Density, arr: np.ndarray) -> float:
+    """E_q[arr] for a finite array of q's shape, unchecked."""
+    return float((arr.ravel() * q.values.ravel() * q.space.weights.ravel()).sum())
+
+
 def expect(q: Density, f) -> float:
     """E_q[f] = sum(f * q * mu)."""
     arr = _as_float_array(f, "integrand")
@@ -365,7 +387,7 @@ def expect(q: Density, f) -> float:
             f"integrand shape {arr.shape} does not match density shape "
             f"{q.values.shape}"
         )
-    return float(np.sum(arr.ravel() * q.values.ravel() * q.space.weights.ravel()))
+    return _expect(q, arr)
 
 
 def pairing(q: Density, w: FiberVector, v: FiberVector) -> float:
@@ -373,12 +395,12 @@ def pairing(q: Density, w: FiberVector, v: FiberVector) -> float:
     _require_same_base(w, q)
     _require_same_base(v, q)
     return float(
-        np.sum(
+        (
             w.values.ravel()
             * v.values.ravel()
             * q.values.ravel()
             * q.space.weights.ravel()
-        )
+        ).sum()
     )
 
 
@@ -394,7 +416,7 @@ def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:
         raise MismatchError(
             f"shape {arr.shape} does not match density shape {q.values.shape}"
         )
-    centred = arr - expect(q, arr)
+    centred = arr - _expect(q, arr)
     try:
         return FiberVector(q, centred, polarity)
     except StatBundleError:

@@ -33,7 +33,7 @@ def kl(q: Density, r: Density) -> float:
     """D(q||r) = sum(q * log(q/r) * mu) >= 0, zero iff q == r."""
     _require_same_space(q.space, r.space)
     qv = q.values.ravel()
-    return float(np.sum(q.space.weights.ravel() * qv * np.log(qv / r.values.ravel())))
+    return float((q.space.weights.ravel() * qv * np.log(qv / r.values.ravel())).sum())
 
 
 def structural_reconstruct(p: Density, q: Density) -> Density:

@@ -113,10 +113,16 @@ def _check_theta(family: ExpFamily, theta) -> np.ndarray:
     return arr
 
 
+def _combine(family: ExpFamily, coef: np.ndarray) -> np.ndarray:
+    """sum_j coef[j] * T_j: the np.dot call of np.tensordot(coef, T, axes=1),
+    on the same 2-d reshapes, without its set-up."""
+    stats = family.stats
+    flat = np.dot(coef.reshape(1, -1), stats.reshape(stats.shape[0], -1))
+    return flat.reshape(stats.shape[1:])
+
+
 def _natural_statistic(family: ExpFamily, theta: np.ndarray) -> FiberVector:
-    return FiberVector(
-        family.base12, np.tensordot(theta, family.stats, axes=1), "exponential"
-    )
+    return FiberVector(family.base12, _combine(family, theta), "exponential")
 
 
 def psi(family: ExpFamily, theta) -> float:
@@ -143,7 +149,7 @@ def grad_psi(family: ExpFamily, theta) -> np.ndarray:
 
 def _velocity(family: ExpFamily, g: Density, thetadot: np.ndarray) -> FiberVector:
     """(T - E_g[T]) . thetadot as a fiber vector at the member g."""
-    vals = np.tensordot(thetadot, family.stats, axes=1) - float(
+    vals = _combine(family, thetadot) - float(
         thetadot @ _stats_expect(family, g)
     )
     return FiberVector(g, vals, "exponential")

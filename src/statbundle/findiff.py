@@ -1,11 +1,11 @@
 """Independent finite-difference oracle for validating analytic derivatives.
 
-Central differences only, with optional one-level Richardson
-extrapolation.  This module is deliberately self-contained: it evaluates
-caller-supplied functions and shares no code with the analytic derivative
-paths it is used to check.  The default step h = 1e-5 balances the O(h^2)
-truncation error (~1e-10) against roundoff (~1e-11), leaving two orders
-of margin under the 1e-6 tolerance used by consumer tests.
+Plain central differences, (f(t + h) - f(t - h)) / 2h.  This module is
+deliberately self-contained: it evaluates caller-supplied functions and
+shares no code with the analytic derivative paths it is used to check.
+The default step h = 1e-5 balances the O(h^2) truncation error (~1e-10)
+against roundoff (~1e-11), leaving two orders of margin under the 1e-6
+tolerance used by consumer tests.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Step size and Richardson option for the central-difference oracle."""
+    """Step size of the central-difference oracle, in (0, 1e-2)."""
 
     h: float = 1e-5
-    richardson: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.h < 1e-2:
@@ -32,26 +31,14 @@ class FDConfig:
 DEFAULT = FDConfig()
 
 
-def _central(fn: Callable[[float], float], t: float, h: float) -> float:
-    hi, lo = fn(t + h), fn(t - h)
+def fd_scalar(fn: Callable[[float], float], t: float, cfg: FDConfig = DEFAULT) -> float:
+    """d/dt fn(t) by central differences; exact on quadratics."""
+    hi, lo = fn(t + cfg.h), fn(t - cfg.h)
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ArithmeticError(
-            f"non-finite probe evaluation near t={t} with h={h}"
+            f"non-finite probe evaluation near t={t} with h={cfg.h}"
         )
-    return (hi - lo) / (2.0 * h)
-
-
-def fd_scalar(fn: Callable[[float], float], t: float, cfg: FDConfig = DEFAULT) -> float:
-    """d/dt fn(t) by central differences; exact on quadratics.
-
-    With ``richardson``, combines the h and h/2 estimates as
-    (4*e_{h/2} - e_h) / 3, cancelling the O(h^2) term.
-    """
-    plain = _central(fn, t, cfg.h)
-    if not cfg.richardson:
-        return plain
-    half = _central(fn, t, cfg.h / 2.0)
-    return (4.0 * half - plain) / 3.0
+    return (hi - lo) / (2.0 * cfg.h)
 
 
 def fd_gradient(
@@ -80,9 +67,4 @@ def fd_vector_curve(
         raise ArithmeticError(
             f"non-finite probe evaluation near t={t} with h={cfg.h}"
         )
-    plain = (hi - lo) / (2.0 * cfg.h)
-    if not cfg.richardson:
-        return plain
-    half_cfg = FDConfig(h=cfg.h / 2.0)
-    half = fd_vector_curve(fn, t, half_cfg)
-    return (4.0 * half - plain) / 3.0
+    return (hi - lo) / (2.0 * cfg.h)

@@ -13,6 +13,7 @@ on purpose: they must not share code with the array code they check.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -107,7 +108,7 @@ class Report:
 
 
 def _maxabs(a) -> float:
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def _random_space(rng: np.random.Generator, n: int) -> SampleSpace:
@@ -373,12 +374,15 @@ def _check_grad_psi_fd(rng, size: tuple[int, int]) -> float:
 def _check_velocities_fd(rng, size: tuple[int, int]) -> float:
     family, theta = _random_family(rng, *size)
     thetadot = rng.uniform(-1.0, 1.0, family.dim)
-    g = density(family, theta)
-    g1 = marginalize(g)
 
+    # The three numeric sides below share the probe members G(theta +- h
+    # thetadot): each is evaluated once.
+    @functools.cache
     def member(t: float) -> Density:
         return density(family, theta + t * thetadot)
 
+    g = member(0.0)
+    g1 = marginalize(g)
     worst = _maxabs(
         joint_velocity(family, theta, thetadot).values
         - score_velocity(Curve(at=member), 0.0).values
@@ -399,14 +403,16 @@ def _check_velocities_fd(rng, size: tuple[int, int]) -> float:
 def _check_kl_theta_fd(rng, size: tuple[int, int]) -> float:
     family, theta = _random_family(rng, *size)
     r1 = random_density(family.space.left, rng)
+
+    # Both gradients probe the same parameters: each margin is evaluated once.
+    @functools.cache
+    def margin(probe: tuple[float, ...]) -> Density:
+        return marginalize(density(family, np.array(probe)))
+
     left = kl_theta_gradient_left(family, theta, r1)
-    left_fd = fd_gradient(
-        lambda th: kl(r1, marginalize(density(family, th))), theta
-    )
+    left_fd = fd_gradient(lambda th: kl(r1, margin(tuple(th))), theta)
     right = kl_theta_gradient_right(family, theta, r1)
-    right_fd = fd_gradient(
-        lambda th: kl(marginalize(density(family, th)), r1), theta
-    )
+    right_fd = fd_gradient(lambda th: kl(margin(tuple(th)), r1), theta)
     return max(_maxabs(left - left_fd), _maxabs(right - right_fd))
 
 

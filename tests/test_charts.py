@@ -203,6 +203,20 @@ class TestScoreVelocity:
         got = sb.score_velocity(curve, 0.0)
         np.testing.assert_allclose(got.values, w.values, atol=1e-8)
 
+    def test_is_the_centred_log_difference_quotient(self):
+        # bit for bit the quotient it computed before it shared the
+        # finite-difference oracle's
+        space = sb.make_space([0.6, 0.9, 1.5])
+        q = sb.random_density(space, 9)
+        curve = sb.mixture_curve(q, sb.random_fiber(q, 10, "mixture"))
+        for h in (1e-5, 1e-3):
+            diff = np.log(curve(0.1 + h).values) - np.log(curve(0.1 - h).values)
+            expected = sb.center(curve(0.1), diff / (2.0 * h))
+            got = sb.score_velocity(curve, 0.1, h)
+            assert got.values.tobytes() == expected.values.tobytes()
+        with pytest.raises(ValueError, match="step"):
+            sb.score_velocity(curve, 0.1, h=0.0)
+
     def test_domain_violation(self):
         space = sb.make_space([0.5, 0.5])
         q = sb.random_density(space, 0)

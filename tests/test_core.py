@@ -311,6 +311,183 @@ def test_one_row_mass_matches_table_row(n):
         assert one.tobytes() == masses[i : i + 1].tobytes()
 
 
+# ---------------------------------------------------------------------------
+# Rule order.  The validators take their passing path in fewer passes and,
+# on any failure, the ordered checks; these are those checks as they stood
+# with one pass per rule, kept as the reference for which rule is named.
+# ---------------------------------------------------------------------------
+
+
+def reference_row_masses(rows, weights):
+    return np.fromiter((np.dot(row, weights) for row in rows), float, len(rows))
+
+
+def reference_density_rows(weights, rows, shape=None):
+    if not np.isfinite(rows).all():
+        raise sb.StatBundleError("density values contains a non-finite entry")
+    if rows.min() < sb.core.POSITIVITY_FLOOR:
+        i = int(np.flatnonzero(rows < sb.core.POSITIVITY_FLOOR)[0])
+        raise sb.BoundaryError(
+            f"non-positive density value {float(rows.flat[i])!r} at index "
+            f"{sb.core._coord_label(shape or rows.shape, i)} "
+            "(the model excludes the boundary)"
+        )
+    mass = reference_row_masses(rows, weights)
+    drift = np.abs(mass - 1.0)
+    x = int(drift.argmax())
+    if drift[x] > sb.core.NORMALIZATION_ATOL:
+        if drift[x] >= sb.core.RENORMALIZE_LIMIT:
+            raise sb.NormalizationError(
+                f"density mass {float(mass[x])!r}{sb.core._row_label(rows, x)} "
+                f"is off by {drift[x]:.3e} "
+                f"(renormalization limit {sb.core.RENORMALIZE_LIMIT:.0e})"
+            )
+        off = drift > sb.core.NORMALIZATION_ATOL
+        rows = np.where(off[:, None], rows / mass[:, None], rows)
+    return rows
+
+
+def reference_fiber_rows(base, mu, rows):
+    if not np.isfinite(rows).all():
+        raise sb.StatBundleError("fiber values contains a non-finite entry")
+    residual = np.abs((rows * base * mu).sum(axis=1))
+    if residual.max() > sb.core.FIBER_ATOL:
+        over = np.flatnonzero(residual > sb.core.FIBER_ATOL)
+        bases = np.broadcast_to(base, rows.shape)[over]
+        bound = sb.core.FIBER_ATOL * np.maximum(
+            1.0, np.sum(np.abs(rows[over]) * bases * mu, axis=-1)
+        )
+        failed = np.flatnonzero(residual[over] > bound)
+        if failed.size:
+            i = int(failed[0])
+            x = int(over[i])
+            raise sb.StatBundleError(
+                f"not a fiber vector{sb.core._row_label(rows, x)}: expectation "
+                f"residual {residual[x]:.3e} exceeds {bound[i]:.3e}"
+            )
+    return rows
+
+
+def reference_conditionals(rows, mu2):
+    return reference_density_rows(mu2, rows / reference_row_masses(rows, mu2)[:, None])
+
+
+def reference_conditional_derivatives(rows, mu2, v):
+    cond = reference_conditionals(rows, mu2)
+    centred = v - np.sum(v * cond * mu2, axis=1)[:, None]
+    return reference_fiber_rows(cond, mu2, centred)
+
+
+def outcome(fn, *args):
+    """("ok", the result's bytes) or (the error class, its message)."""
+    try:
+        result = fn(*args)
+    except sb.StatBundleError as err:
+        return type(err), str(err)
+    return "ok", np.asarray(result).tobytes()
+
+
+def unchecked(cls, **fields):
+    """A Density or FiberVector holding ``fields`` as given, unvalidated."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+_SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.5, 1e-301, 1e-300)
+
+
+@st.composite
+def blocks(draw):
+    """A (k, n) block of density rows over weights, and one of fiber rows
+    over those densities, with injected non-finite, sub-floor, off-mass and
+    uncentred entries."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.2, 2.0, n)
+    raw = rng.uniform(0.1, 1.0, (k, n))
+    dens = raw / (raw @ weights)[:, None]
+    fiber = 10.0 ** draw(st.integers(-2, 6)) * rng.standard_normal((k, n))
+    fiber -= ((fiber * dens * weights).sum(axis=1) / (dens @ weights))[:, None]
+    row = draw(st.integers(0, k - 1))
+    dens[row] *= 1.0 + draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-7, 1e-6, 1e-3]))
+    fiber[row] += draw(st.sampled_from([0.0, 1e-14, 1e-11, 1e-6, 1.0]))
+    for block in (dens, fiber):
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+            block[at] = draw(st.sampled_from(_SPECIALS))
+    return weights, dens, fiber
+
+
+@given(blocks())
+@settings(max_examples=300, deadline=None)
+def test_density_rules_name_the_reference_rule(block):
+    weights, dens, _ = block
+    space = sb.make_space(weights)
+    for row in dens:
+        assert outcome(lambda: sb.Density(space, row.copy()).values) == outcome(
+            reference_density_rows, weights, row[None].copy(), row.shape
+        )
+    assert outcome(_density_rows, weights, dens.copy()) == outcome(
+        reference_density_rows, weights, dens.copy()
+    )
+    if len(dens) > 1:
+        joint = sb.ProductSpace(sb.make_space(np.ones(len(dens))), space)
+        assert outcome(lambda: sb.Density(joint, dens.copy()).values) == outcome(
+            reference_density_rows, joint.weights.ravel(), dens.reshape(1, -1).copy(),
+            dens.shape,
+        )
+
+
+@given(blocks())
+@settings(max_examples=300, deadline=None)
+def test_fiber_rules_name_the_reference_rule(block):
+    weights, dens, fiber = block
+    space = sb.make_space(weights)
+    for base, row in zip(dens, fiber):
+        try:
+            q = sb.Density(space, base)
+        except sb.StatBundleError:
+            continue
+        assert outcome(lambda: sb.FiberVector(q, row.copy()).values) == outcome(
+            reference_fiber_rows, q.values[None], weights[None], row[None].copy()
+        )
+
+
+@pytest.mark.parametrize(
+    "values", [[np.inf, -np.inf], [-np.inf, np.inf], [np.nan, np.inf], [np.inf, 1.0]]
+)
+def test_signed_infinities_raise_the_non_finite_error_without_a_warning(
+    half_space, values
+):
+    # A fused pass sums inf and -inf, which numpy reports as a RuntimeWarning
+    # (an error under this suite's warning filter) before anything is raised.
+    q = sb.uniform_density(half_space)
+    with pytest.raises(sb.StatBundleError, match="fiber values contains a non-finite"):
+        sb.FiberVector(q, np.array(values))
+
+
+@given(blocks())
+@settings(max_examples=300, deadline=None)
+def test_table_rules_name_the_reference_rule(block):
+    weights, dens, fiber = block
+    if len(dens) < 2:
+        return
+    joint = sb.ProductSpace(sb.make_space(np.ones(len(dens))), sb.make_space(weights))
+    q12 = unchecked(sb.Density, space=joint, values=dens)
+    v = unchecked(sb.FiberVector, base=q12, values=fiber, polarity="mixture")
+    # Conditioning divides rows by their masses before any rule is checked,
+    # which warns on non-finite input in the same way on both sides.
+    with np.errstate(all="ignore"):
+        assert outcome(sb.conditionals, q12) == outcome(
+            reference_conditionals, dens, weights
+        )
+        assert outcome(sb.conditional_derivatives, q12, v) == outcome(
+            reference_conditional_derivatives, dens, weights, fiber
+        )
+
+
 class TestRandomDensity:
     def test_deterministic_in_seed(self):
         space = sb.make_space([1.0, 1.0, 1.0])

@@ -11,7 +11,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = FDConfig()
         assert cfg.h == 1e-5
-        assert not cfg.richardson
 
     def test_step_bounds(self):
         with pytest.raises(ValueError):
@@ -40,20 +39,6 @@ class TestScalar:
     def test_non_finite_probe(self):
         with pytest.raises(ArithmeticError):
             fd_scalar(lambda t: math.inf, 0.0)
-
-    def test_richardson_refines_the_plain_estimates(self):
-        # third derivative of log cosh bounds the h^2 error of the plain
-        # estimate; the h/2 estimate entering the extrapolation sits a
-        # factor four closer
-        cfg = FDConfig(h=1e-4, richardson=True)
-        fn = lambda t: math.log(math.cosh(t))
-        rich = fd_scalar(fn, 1.0, cfg)
-        plain_h = fd_scalar(fn, 1.0, FDConfig(h=1e-4))
-        plain_half = fd_scalar(fn, 1.0, FDConfig(h=5e-5))
-        third = 2.0 * math.tanh(1.0) / math.cosh(1.0) ** 2
-        assert abs(plain_h - rich) <= (1e-4) ** 2 * third
-        assert abs(plain_half - rich) <= 1e-9
-        assert abs(rich - math.tanh(1.0)) <= 1e-10
 
 
 class TestGradient:
@@ -85,11 +70,6 @@ class TestVectorCurve:
         curve = sb.mixture_curve(p, w)
         got = fd_vector_curve(lambda t: curve(t).values, 0.0)
         np.testing.assert_allclose(got, w.values * p.values, atol=1e-9)
-
-    def test_richardson_vector(self):
-        cfg = FDConfig(h=1e-4, richardson=True)
-        got = fd_vector_curve(lambda t: [math.log(math.cosh(t))], 1.0, cfg)
-        np.testing.assert_allclose(got, [math.tanh(1.0)], atol=1e-10)
 
     def test_non_finite_probe(self):
         with pytest.raises(ArithmeticError):

@@ -82,9 +82,9 @@ def test_random_family_redraws_unidentifiable_statistics(seed):
     assert report.overall
 
 
-def _instance_calls(monkeypatch, target, attr, counted, check, n1):
+def _instance_calls(monkeypatch, target, attr, counted, check, n1, seed=7):
     """Calls of ``target.attr`` that ``counted`` accepts, in one instance of
-    ``check`` on an n1 x 5 space."""
+    ``check`` on an n1 x 5 space, drawn from the stream [seed, n1]."""
     calls = []
     inner = getattr(target, attr)
 
@@ -95,7 +95,7 @@ def _instance_calls(monkeypatch, target, attr, counted, check, n1):
 
     with monkeypatch.context() as m:
         m.setattr(target, attr, counting)
-        check(np.random.default_rng([7, n1]), (n1, 5))
+        check(np.random.default_rng([seed, n1]), (n1, 5))
     return len(calls)
 
 
@@ -126,3 +126,34 @@ def test_family_evaluations_per_velocity_instance_do_not_grow_with_n1(monkeypatc
         for n1 in (4, 16)
     ]
     assert counts[0] == counts[1]
+
+
+def _family_evaluations(monkeypatch, check, n1, seed=7):
+    return _instance_calls(
+        monkeypatch, sb.expfam, "exp_chart_inv", lambda *args: True, check, n1, seed
+    )
+
+
+def test_velocity_check_evaluates_each_probe_member_once(monkeypatch):
+    # G(theta) and G(theta +- h thetadot) once each, plus the G(theta) that
+    # joint_velocity, marginal_velocity and conditional_velocities each take.
+    assert _family_evaluations(monkeypatch, verify._check_velocities_fd, 3) == 6
+
+
+def _seed_with_dim(d, n1):
+    """A stream seed at which a check's random family has d statistics."""
+    for seed in range(100):
+        rng = np.random.default_rng([seed, n1])
+        if verify._random_family(rng, n1, 5)[0].dim == d:
+            return seed
+    raise AssertionError(f"no family of dimension {d} in 100 draws")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kl_theta_check_evaluates_each_probe_once(monkeypatch, d):
+    # G(theta) in each analytic gradient, and G at each of the 2d probes
+    # theta +- h e_j, which both finite-difference gradients share.
+    calls = _family_evaluations(
+        monkeypatch, verify._check_kl_theta_fd, 3, _seed_with_dim(d, 3)
+    )
+    assert calls == 2 + 2 * d
