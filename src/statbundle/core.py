@@ -68,15 +68,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _centring_bound(vals, q, mu):
-    """Tolerance on E_q[v]: FIBER_ATOL scaled by max(1, E_q[|v|]).
+def _centring_bound(vals, q, mu, floor=1.0):
+    """Tolerance on E_q[v]: FIBER_ATOL scaled by max(floor, E_q[|v|]).
 
     The rounding error of a centred sum grows with the magnitude of its
     terms, so a fixed 1e-12 would reject large vectors that are centred
     to working precision.  Reduces over the last axis, so a block of rows
-    gets one bound per row.
+    gets one bound per row.  With ``floor=1 / s``, the bound of ``v / s``
+    is the bound of ``v`` divided by ``s``.
     """
-    return FIBER_ATOL * np.maximum(1.0, np.sum(np.abs(vals) * q * mu, axis=-1))
+    return FIBER_ATOL * np.maximum(floor, np.sum(np.abs(vals) * q * mu, axis=-1))
 
 
 def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -138,9 +139,10 @@ def _density_rows(weights: np.ndarray, rows: np.ndarray, shape=None) -> np.ndarr
     return rows
 
 
-# A row holding infinities of both signs sums to NaN: without a warning,
-# so that it reaches the non-finite error below.
-@np.errstate(invalid="ignore")
+# A row holding infinities of both signs sums to NaN, and the terms of a
+# row of large finite entries can overflow: neither warns, so that the row
+# reaches the checks below.
+@np.errstate(invalid="ignore", over="ignore")
 def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Check each row of a fresh (k, n) block as a fiber vector.
 
@@ -159,18 +161,30 @@ def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarra
         return rows
     if not np.isfinite(rows).all():
         raise StatBundleError("fiber values contains a non-finite entry")
-    if residual.max() > FIBER_ATOL:
-        over = np.flatnonzero(residual > FIBER_ATOL)
-        bases = np.broadcast_to(base, rows.shape)[over]
-        bound = _centring_bound(rows[over], bases, mu)
-        failed = np.flatnonzero(residual[over] > bound)
-        if failed.size:
-            i = int(failed[0])
-            x = int(over[i])
-            raise StatBundleError(
-                f"not a fiber vector{_row_label(rows, x)}: expectation "
-                f"residual {residual[x]:.3e} exceeds {bound[i]:.3e}"
-            )
+    over = np.flatnonzero(~(residual <= FIBER_ATOL))  # a NaN residual too
+    bases = np.broadcast_to(base, rows.shape)[over]
+    res = residual[over]
+    bound = _centring_bound(rows[over], bases, mu)
+    failed = res > bound
+    # Finite entries whose terms overflow leave the residual or the bound
+    # inf or NaN.  Such a row is checked again divided by its largest
+    # |entry|, where its terms are finite, and its figures scaled back.
+    big = np.flatnonzero(~(np.isfinite(res) & np.isfinite(bound)))
+    if big.size:
+        scale = np.abs(rows[over[big]]).max(axis=1)
+        scaled = rows[over[big]] / scale[:, None]
+        res_s = np.abs((scaled * bases[big] * mu).sum(axis=1))
+        bound_s = _centring_bound(scaled, bases[big], mu, 1.0 / scale)
+        failed[big] = res_s > bound_s
+        res[big], bound[big] = res_s * scale, bound_s * scale
+    failed = np.flatnonzero(failed)
+    if failed.size:
+        i = int(failed[0])
+        x = int(over[i])
+        raise StatBundleError(
+            f"not a fiber vector{_row_label(rows, x)}: expectation "
+            f"residual {res[i]:.3e} exceeds {bound[i]:.3e}"
+        )
     rows.flags.writeable = False
     return rows
 

@@ -15,10 +15,13 @@ is a :class:`StatBundleError` naming the file and the key.
 
 Outputs are CSV with every float printed to 17 significant digits, which
 round-trips float64 exactly, so reruns with identical configuration are
-byte-identical and diffable.  The writers take whole columns and format
-each column at once, in blocks of a fixed number of rows, so the strings
-of only one block are held at a time; the bytes are those of formatting
-each cell with ``format(x, ".17g")``.
+byte-identical and diffable.  The writers take whole columns.
+:func:`write_csv` builds one row format from a printf conversion per column
+(``%.17g`` for floats, ``%d`` for integers, ``%s`` for strings) and formats
+each block of a fixed number of rows with a single ``%`` over the block's
+cells, so the strings of only one block are held at a time.  The bytes are
+those of formatting each cell with ``format(x, ".17g")`` or ``str``; a string
+cell is an argument of the format, so a ``%`` in it is written as it is.
 """
 
 from __future__ import annotations
@@ -135,20 +138,10 @@ def write_json(path, obj: dict) -> None:
         fh.write("\n")
 
 
-def _strings(block: np.ndarray) -> list[str]:
-    """The cells of a 1-d column block as CSV fields.
-
-    Floats give the bytes of ``format(x, ".17g")``, integers those of
-    ``str(x)``, and strings are written as they are.
-    """
-    kind = block.dtype.kind
-    if kind == "f":
-        return list(map("%.17g".__mod__, block.tolist()))
-    if kind in "iu":
-        return list(map(str, block.tolist()))
-    if kind == "U":
-        return block.tolist()
-    raise TypeError(f"cannot write a CSV column of dtype {block.dtype}")
+# The printf conversion of each column dtype kind: floats to 17 significant
+# digits (the bytes of ``format(x, ".17g")``), integers as ``str`` gives them,
+# strings as they are.
+_CONVERSIONS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
@@ -158,13 +151,23 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     if len(columns) != len(header) or any(c.shape != (rows,) for c in columns):
         raise ValueError("write_csv needs one 1-d column per header name, "
                          "all of the same length")
+    for c in columns:
+        if c.dtype.kind not in _CONVERSIONS:
+            raise TypeError(f"cannot write a CSV column of dtype {c.dtype}")
+    line = ",".join(_CONVERSIONS[c.dtype.kind] for c in columns) + "\n"
+    width = len(columns)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, _BLOCK_ROWS):
-            cells = [_strings(c[start:start + _BLOCK_ROWS]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            k = min(_BLOCK_ROWS, rows - start)
+            # The block's cells row by row, as arguments of one format: a
+            # "%" in a string cell is an argument, never part of the format.
+            args = [None] * (k * width)
+            for j, c in enumerate(columns):
+                args[j::width] = c[start:start + k].tolist()
+            fh.write((line * k) % tuple(args))
 
 
 def _columns(rows: Sequence[Sequence], width: int) -> list:

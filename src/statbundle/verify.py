@@ -17,6 +17,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -264,14 +265,13 @@ def _check_common_param_fd(rng, n: int) -> float:
 
 def _enum_conditional_expectation(q12: Density, v: FiberVector) -> list[float]:
     """Brute-force E_q[v | X = x] by outcome enumeration (oracle path)."""
-    n1, n2 = q12.space.shape
     mu2 = q12.space.right.weights.tolist()
     out = []
-    for x in range(n1):
+    for x in range(q12.space.shape[0]):
         # plain floats, read one row at a time to keep memory at O(n2)
         qx, vx = q12.values[x].tolist(), v.values[x].tolist()
-        num = math.fsum(vx[z] * qx[z] * mu2[z] for z in range(n2))
-        den = math.fsum(qx[z] * mu2[z] for z in range(n2))
+        num = math.fsum(map(mul, map(mul, vx, qx), mu2))
+        den = math.fsum(map(mul, qx, mu2))
         out.append(num / den)
     return out
 
@@ -307,9 +307,10 @@ def _check_conditional_derivative_enum(rng, size: tuple[int, int]) -> float:
     worst = 0.0
     for x in range(size[0]):
         qx, vx = q12.values[x].tolist(), v.values[x].tolist()
-        den = math.fsum(qx[z] * mu2[z] for z in range(size[1]))
-        mean = math.fsum(vx[z] * (qx[z] / den) * mu2[z] for z in range(size[1]))
-        oracle = [vx[z] - mean for z in range(size[1])]
+        den = math.fsum(map(mul, qx, mu2))
+        cx = [qz / den for qz in qx]
+        mean = math.fsum(map(mul, map(mul, vx, cx), mu2))
+        oracle = [vz - mean for vz in vx]
         worst = max(worst, _maxabs(lib[x] - np.asarray(oracle)))
     return worst
 

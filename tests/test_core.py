@@ -347,23 +347,31 @@ def reference_density_rows(weights, rows, shape=None):
     return rows
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def reference_fiber_rows(base, mu, rows):
     if not np.isfinite(rows).all():
         raise sb.StatBundleError("fiber values contains a non-finite entry")
-    residual = np.abs((rows * base * mu).sum(axis=1))
-    if residual.max() > sb.core.FIBER_ATOL:
-        over = np.flatnonzero(residual > sb.core.FIBER_ATOL)
-        bases = np.broadcast_to(base, rows.shape)[over]
-        bound = sb.core.FIBER_ATOL * np.maximum(
-            1.0, np.sum(np.abs(rows[over]) * bases * mu, axis=-1)
-        )
-        failed = np.flatnonzero(residual[over] > bound)
-        if failed.size:
-            i = int(failed[0])
-            x = int(over[i])
+    atol = sb.core.FIBER_ATOL
+    bases = np.broadcast_to(base, rows.shape)
+    for x, (row, q) in enumerate(zip(rows, bases)):
+        residual = abs((row * q * mu).sum())
+        if residual <= atol:
+            continue
+        bound = atol * max(1.0, np.sum(np.abs(row) * q * mu))
+        if np.isfinite(residual) and np.isfinite(bound):
+            failed = residual > bound
+        else:
+            # The terms overflowed: check the row divided by its largest |entry|.
+            scale = np.abs(row).max()
+            scaled = row / scale
+            residual = abs((scaled * q * mu).sum())
+            bound = atol * max(1.0 / scale, np.sum(np.abs(scaled) * q * mu))
+            failed = residual > bound
+            residual, bound = residual * scale, bound * scale
+        if failed:
             raise sb.StatBundleError(
                 f"not a fiber vector{sb.core._row_label(rows, x)}: expectation "
-                f"residual {residual[x]:.3e} exceeds {bound[i]:.3e}"
+                f"residual {residual:.3e} exceeds {bound:.3e}"
             )
     return rows
 
@@ -453,6 +461,56 @@ def test_fiber_rules_name_the_reference_rule(block):
         assert outcome(lambda: sb.FiberVector(q, row.copy()).values) == outcome(
             reference_fiber_rows, q.values[None], weights[None], row[None].copy()
         )
+
+
+@pytest.mark.parametrize(
+    "weights, q, v, accepted",
+    [
+        ([0.5, 0.5], [1.6, 0.4], [1.5e308, -1.5e308], False),  # residual, bound inf
+        ([0.01, 0.01], [60.0, 40.0], [1e307, -1e307], False),  # residual NaN
+        ([0.01, 0.01], [60.0, 40.0], [1e307, -1.5e307], True),  # centred
+    ],
+)
+def test_overflowing_centring_terms_are_checked_at_the_row_scale(
+    weights, q, v, accepted
+):
+    # The residual and the bound overflow to inf or NaN, where inf > inf and
+    # NaN > bound are false: a plain comparison accepts every one of these.
+    q = sb.make_density(sb.make_space(weights), q)
+    rows = np.array([sb.center(q, [1.0, 0.0]).values, v])
+    if accepted:
+        assert sb.FiberVector(q, np.array(v)).values.tolist() == v
+        assert _fiber_rows(q.values, q.space.weights, rows.copy()).tolist() == (
+            rows.tolist()
+        )
+        return
+    with pytest.raises(sb.StatBundleError, match="^not a fiber vector: expectation"):
+        sb.FiberVector(q, np.array(v))
+    with pytest.raises(sb.StatBundleError, match="^not a fiber vector of row 1: "):
+        _fiber_rows(q.values, q.space.weights, rows)
+
+
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.sampled_from([1e306, 1e307, 1.7e308]),
+    offset=st.sampled_from([0.0, 1e-14, 1e-6, 1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_large_rows_name_the_reference_rule(n, seed, top, offset):
+    # Small weights give density values of 10 to 100, so the terms of a row
+    # near the top of the float range overflow before they are summed.
+    rng = np.random.default_rng(seed)
+    space = sb.make_space(rng.uniform(0.01, 0.1, n))
+    q = sb.random_density(space, rng)
+    v = sb.center(q, rng.standard_normal(n)).values + offset
+    row = v / np.abs(v).max() * top
+    got = outcome(lambda: sb.FiberVector(q, row.copy()).values)
+    assert got == outcome(
+        reference_fiber_rows, q.values[None], space.weights[None], row[None].copy()
+    )
+    if offset == 0.0:
+        assert got[0] == "ok"
 
 
 @pytest.mark.parametrize(

@@ -41,16 +41,56 @@ def written(tmp_path, write, *args) -> str:
     return path.read_bytes().decode("utf-8")
 
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
 @given(arrays(np.float64, st.integers(0, 40)))
 @example(np.array(SPECIAL_FLOATS))
-def test_float_column_matches_format(values):
-    assert fileio._strings(values) == [format(float(x), ".17g") for x in values]
+def test_float_column_matches_format(csv_dir, values):
+    assert written(csv_dir, fileio.write_csv, ("v",), (values,)) == reference_csv(
+        ("v",), [(x,) for x in values]
+    )
 
 
 @given(arrays(np.int64, st.integers(0, 40)))
 @example(np.array([0, -1, 2**63 - 1, -2**63], dtype=np.int64))
-def test_int_column_matches_str(values):
-    assert fileio._strings(values) == [str(int(x)) for x in values]
+def test_int_column_matches_str(csv_dir, values):
+    assert written(csv_dir, fileio.write_csv, ("n",), (values,)) == reference_csv(
+        ("n",), [(x,) for x in values]
+    )
+
+
+@st.composite
+def mixed_columns(draw):
+    n = draw(st.integers(0, 30))
+    floats = draw(arrays(np.float64, n))
+    ints = draw(arrays(np.int64, n))
+    names = draw(st.lists(st.text("ab %s%%d,.-", max_size=6), min_size=n,
+                          max_size=n))
+    return floats, ints, np.array(names, dtype=str)
+
+
+@given(mixed_columns())
+@example((np.array([0.5, math.nan]), np.array([-7, 2**63 - 1]),
+          np.array(["%", "%%"])))
+@example((np.array([1e-310]), np.array([0]), np.array(["a %s, %d %.17g %%"])))
+def test_mixed_columns_match_the_reference(csv_dir, columns):
+    # String cells are format arguments: a "%" in one is written verbatim.
+    floats, ints, names = columns
+    header, columns = ("x", "n", "name", "y"), (floats, ints, names, floats)
+    assert written(csv_dir, fileio.write_csv, header, columns) == reference_csv(
+        header, list(zip(floats, ints, names.tolist(), floats))
+    )
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_bool_column_rejected(tmp_path, rows):
+    with pytest.raises(TypeError, match="^cannot write a CSV column of dtype bool$"):
+        fileio.write_csv(tmp_path / "o.csv", ("a", "b"),
+                         (np.arange(rows), np.ones(rows, dtype=bool)))
+    assert not (tmp_path / "o.csv").exists()  # checked before anything is written
 
 
 def table_shapes():
