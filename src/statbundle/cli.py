@@ -20,6 +20,7 @@ same configuration produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -52,8 +53,10 @@ def _nonneg_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}"
+        )
     return value
 
 

@@ -16,6 +16,11 @@ R^d is a valid parameter domain and ``psi`` is the base cumulant of
   C = E_G[T - E_G[T] | X] against r1*mu1 and against log(r1/G1)*G1*mu1;
 * the Fisher matrix of the margin family is C diag(G1*mu1) C^T.
 
+Every conditional expectation E[T_j | X = x] under a row-weight table
+comes from one contraction, ``_row_sums``, that allocates no (d, n1, n2)
+array.  For C the same row sums also give E_G[T], by the tower property
+E_G[T] = E_G1[E_G[T | X]], so the statistics are read once per table.
+
 :func:`natural_gradient_flow` descends either objective along the
 Fisher-preconditioned gradient, with backtracking.
 """
@@ -180,9 +185,8 @@ def conditional_velocities(family: ExpFamily, theta, thetadot) -> np.ndarray:
     thetadot = _check_theta(family, thetadot)
     cond = conditionals(density(family, theta))
     mu2 = family.space.right.weights
-    stats = family.stats
-    means = (stats * (cond * mu2)).sum(axis=2)
-    rows = (thetadot[:, None, None] * (stats - means[:, :, None])).sum(axis=0)
+    means = _row_sums(family, cond * mu2)
+    rows = _combine(family, thetadot) - (thetadot @ means)[:, None]
     return _fiber_rows(cond, mu2, rows)
 
 
@@ -192,11 +196,22 @@ def _stats_expect(family: ExpFamily, g: Density) -> np.ndarray:
     return stats.reshape(stats.shape[0], -1) @ (g.values * g.space.weights).ravel()
 
 
+def _row_sums(family: ExpFamily, weights: np.ndarray) -> np.ndarray:
+    """sum_y T_j(x, y) * weights(x, y) as a (d, n1) table, in one contraction
+    that allocates nothing of the statistics' (d, n1, n2) size."""
+    return np.einsum("jxy,xy->jx", family.stats, weights)
+
+
 def _centered_conditional_stats(family: ExpFamily, g: Density) -> np.ndarray:
-    """E_G[T_j - E_G[T_j] | X = x] as a (d, n1) table."""
+    """E_G[T_j - E_G[T_j] | X = x] as a (d, n1) table.
+
+    The row sums S[j, x] = sum_y T_j(x, y) G(x, y) mu2(y) give both terms:
+    E_G[T_j | X = x] = S[j, x] / G1(x) and, by the tower property,
+    E_G[T_j] = sum_x S[j, x] mu1(x)."""
     weighted = g.values * family.space.right.weights
-    raw = (family.stats * weighted).sum(axis=2) / weighted.sum(axis=1)
-    return raw - _stats_expect(family, g)[:, None]
+    sums = _row_sums(family, weighted)
+    mean = sums @ family.space.left.weights
+    return sums / weighted.sum(axis=1) - mean[:, None]
 
 
 def _check_margin(family: ExpFamily, r1: Density) -> Density:
@@ -306,21 +321,24 @@ def natural_gradient_flow(
     F^-1 g, where g is the gradient and F = C diag(G1 mu1) C^T, with
     C = E_G[T - E_G[T] | X], is the Fisher matrix of the margin family.
     A trial step is halved while its member leaves the model (``density``
-    raises :class:`BoundaryError` or :class:`NormalizationError`), and at
-    most 30 times while the objective increases, so the recorded
-    objectives are non-increasing.  Each trial point evaluates G(theta)
-    and its margin once; the accepted one reuses them for the objective,
-    the gradient and F.
+    raises :class:`BoundaryError` or :class:`NormalizationError`) or its
+    evaluation overflows, and at most 30 times while the objective
+    increases, so the recorded objectives are non-increasing.  Each trial
+    point evaluates G(theta) and its margin once; the accepted one reuses
+    them for the objective, the gradient and F.
 
-    Stops converged when ||F^-1 g|| drops below ``tol``; otherwise the
-    trace's ``stop_reason`` says why it stopped.  The Euclidean gradient
-    norm is no stopping rule: on a saturated plateau it underflows far
-    from the optimum, where the natural step stays large.
+    ``step`` and ``tol`` must be positive and finite.  Stops converged
+    when ||F^-1 g|| drops below ``tol``; otherwise the trace's
+    ``stop_reason`` says why it stopped.  The Euclidean gradient norm is
+    no stopping rule: on a saturated plateau it underflows far from the
+    optimum, where the natural step stays large.
     """
     if mode not in ("left", "right"):
         raise StatBundleError(f"unknown flow mode {mode!r}")
-    if not step > 0.0:
-        raise StatBundleError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise StatBundleError("step must be positive and finite")
+    if not 0.0 < tol < math.inf:
+        raise StatBundleError("tol must be positive and finite")
     if iters < 1:
         raise StatBundleError("iters must be at least 1")
     _check_margin(family, r1)
@@ -361,13 +379,16 @@ def natural_gradient_flow(
         iteration += 1
         trial_step, halvings, increases = step, 0, 0
         while True:
-            candidate = theta - trial_step * direction
-            if np.array_equal(candidate, theta):
-                return FlowTrace(records, mode, "stalled")
+            # A trial point that overflows or leaves the model is halved
+            # without counting.
             try:
-                cand_g = density(family, candidate)
-            except (BoundaryError, NormalizationError):
-                pass  # the trial point left the model: halve without counting
+                with np.errstate(over="raise"):
+                    candidate = theta - trial_step * direction
+                    if np.array_equal(candidate, theta):
+                        return FlowTrace(records, mode, "stalled")
+                    cand_g = density(family, candidate)
+            except (BoundaryError, NormalizationError, FloatingPointError):
+                pass
             else:
                 cand_g1 = marginalize(cand_g)
                 cand_obj = objective_of(cand_g1)

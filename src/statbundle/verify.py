@@ -470,7 +470,8 @@ def run_verification(
 
     ``trials`` instances are drawn per check and per size entry; single
     -space checks run once per distinct outcome count appearing in
-    ``sizes``.  ``slack`` scales every threshold (handy for exploratory
+    ``sizes``, each factor of which needs at least 2 outcomes.  ``slack``,
+    positive and finite, scales every threshold (handy for exploratory
     runs; the defaults are the contractual tolerances).  An empty
     ``names``, or one naming no check, raises :class:`StatBundleError`
     rather than passing vacuously.
@@ -479,11 +480,16 @@ def run_verification(
         raise StatBundleError("seed must be nonnegative")
     if trials < 1:
         raise StatBundleError("trials must be at least 1")
-    if slack <= 0.0:
-        raise StatBundleError("tolerance slack must be positive")
+    if not 0.0 < slack < math.inf:
+        raise StatBundleError("tolerance slack must be positive and finite")
     sizes = tuple((int(a), int(b)) for a, b in sizes)
     if not sizes:
         raise StatBundleError("at least one size is required")
+    small = [f"{a}x{b}" for a, b in sizes if min(a, b) < 2]
+    if small:
+        raise StatBundleError(
+            f"every size needs at least 2 outcomes per factor: {', '.join(small)}"
+        )
     if names is not None:
         if not names:
             raise StatBundleError("at least one check name is required")

@@ -50,6 +50,18 @@ class TestVerifyCommand:
             main(["verify", "--sizes", "2by2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", "1", "--sizes", "2x2", "--tol", tol])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sizes", ["-2x3", "1x3", "2x2,3x1"])
+    def test_sizes_below_two_are_an_error(self, sizes, capsys):
+        rc = main(["verify", "--trials", "1", f"--sizes={sizes}"])
+        assert rc == 2
+        assert "at least 2 outcomes per factor" in capsys.readouterr().err
+
 
 class TestBayesCommand:
     def test_worked_example_outputs(self, tmp_path, capsys):
@@ -216,6 +228,21 @@ class TestFlowCommand:
         assert rc == 0
         _, rows = read_csv(out / "trace.csv")
         assert len(rows) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "inf"), ("--tol", "nan"), ("--step", "inf")]
+    )
+    def test_step_and_tolerance_must_be_finite(self, tmp_path, flag, value):
+        # --tol inf used to report convergence at iteration 0
+        family = write_fixture(tmp_path, "margin_family.json")
+        target = write_fixture(tmp_path, "flow_target.json")
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["flow", "--family", str(family), "--target", str(target),
+                 "--theta0", "1.0", flag, value, "--out", str(tmp_path / "flow")]
+            )
+        assert exc.value.code == 2
+        assert not (tmp_path / "flow").exists()
 
     def test_right_mode_at_matching_margin(self, tmp_path):
         family = write_fixture(tmp_path, "margin_family.json")

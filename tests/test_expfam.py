@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,32 @@ class TestParameterGradients:
             sb.kl_theta_gradient_right(fam, theta, r1), numeric, atol=1e-6
         )
 
+    @pytest.mark.parametrize("mode", ["left", "right"])
+    def test_gradient_allocates_no_statistics_sized_array(self, mode):
+        # The conditional statistics are one contraction: the peak stays
+        # below two (n1, n2) tables, where T * weights would take d of them.
+        d, n1, n2 = 3, 200, 300
+        rng = np.random.default_rng(200300)
+        space = sb.ProductSpace(
+            sb.make_space(rng.uniform(0.2, 2.0, n1)),
+            sb.make_space(rng.uniform(0.2, 2.0, n2)),
+        )
+        fam = sb.make_expfam(
+            sb.random_density(space.left, rng),
+            sb.random_density(space.right, rng),
+            rng.standard_normal((d, n1, n2)),
+        )
+        g = sb.density(fam, rng.uniform(-0.5, 0.5, d))
+        g1 = sb.marginalize(g)
+        r1 = sb.random_density(space.left, rng)
+        tracemalloc.start()
+        try:
+            sb.expfam._kl_gradient(fam, g, g1, r1, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n1 * n2 * 8
+
     def test_literal_weighting_fails_fd(self, margin_family):
         # the weightless integrand log(r1/G1) * mu1, without the G1 factor,
         # does not differentiate the divergence away from a flat margin
@@ -384,9 +411,36 @@ class TestFlow:
         with pytest.raises(sb.StatBundleError):
             sb.natural_gradient_flow(margin_family, [1.0], r1, mode="sideways")
         with pytest.raises(sb.StatBundleError):
-            sb.natural_gradient_flow(margin_family, [1.0], r1, step=0.0)
-        with pytest.raises(sb.StatBundleError):
             sb.natural_gradient_flow(margin_family, [1.0], r1, iters=0)
+        # tol = inf would report convergence at iteration 0; tol <= 0 or
+        # nan could never be met, and the flow would run until it stalls
+        for name in ("step", "tol"):
+            for value in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(sb.StatBundleError, match="positive and finite"):
+                    sb.natural_gradient_flow(margin_family, [1.0], r1, **{name: value})
+
+    @pytest.mark.parametrize("mode", ["left", "right"])
+    def test_overflowing_step_is_halved(self, margin_family, mode):
+        # theta - step * direction overflows at the first trial points; they
+        # are halved like points outside the model, with no RuntimeWarning
+        r1 = sb.make_density(margin_family.space.left, [1.2, 0.8])
+        trace = sb.natural_gradient_flow(
+            margin_family, [1.0], r1, mode=mode, step=1e308, iters=200, tol=1e-7
+        )
+        assert trace.records[1].halvings > 1000
+        assert all(math.isfinite(rec.objective) for rec in trace.records)
+        objectives = [rec.objective for rec in trace.records]
+        assert all(a >= b for a, b in zip(objectives, objectives[1:]))
+        assert objectives[-1] < 1e-10 < objectives[0]
+
+    def test_overflowing_member_is_halved(self, half_space):
+        # theta stays finite, but evaluating its member overflows
+        p = sb.uniform_density(half_space)
+        fam = sb.make_expfam(p, p, [[[1e3, 1e3], [-1e3, -1e3]]])
+        r1 = sb.make_density(half_space, [1.2, 0.8])
+        trace = sb.natural_gradient_flow(fam, [1e-3], r1, step=1e308, tol=1e-7)
+        assert trace.converged
+        assert trace.records[1].halvings > 1000
 
     def test_step_leaving_the_model_is_halved(self, margin_family):
         # the first trial point, theta = 1 - 1000 sinh(2) / 2, underflows

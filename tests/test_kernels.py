@@ -3,7 +3,8 @@
 Each operation that reduces over outcomes with one numpy expression
 (``expect``, ``pairing``, ``kl``, ``cumulant``, ``marginalize``,
 ``marginal_derivative``, ``grad_psi``, ``marginal_velocity``,
-``kl_theta_gradient_left``) is checked against a plain loop over outcomes
+``kl_theta_gradient_left``, ``kl_theta_gradient_right``,
+``conditional_velocities``) is checked against a plain loop over outcomes
 summed with ``math.fsum``, so the two sides share no arithmetic code.
 """
 
@@ -108,7 +109,7 @@ def test_log_mean_exp_zero_at_constant_zero():
     assert sb.cumulant(p, sb.FiberVector(p, np.zeros(5))) == 0.0
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (7, 4)])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (7, 4), (3, 200)])
 def test_table_reductions_match_numpy(shape):
     """Joint-table reductions match per-row and per-cell fsum enumerations."""
     n1, n2 = shape
@@ -156,4 +157,34 @@ def test_table_reductions_match_numpy(shape):
     ]
     np.testing.assert_allclose(
         sb.kl_theta_gradient_left(family, theta, r1), left, atol=1e-13
+    )
+    g1 = [math.fsum(g[x, z] * mu2[z] for z in range(n2)) for x in range(n1)]
+    right = [
+        -math.fsum(
+            table[j][x] * math.log(r1.values[x] / g1[x]) * g1[x] * mu1[x]
+            for x in range(n1)
+        )
+        for j in range(3)
+    ]
+    np.testing.assert_allclose(
+        sb.kl_theta_gradient_right(family, theta, r1), right, atol=1e-13
+    )
+
+    # Row x of the conditional velocities: thetadot . (T(x, .) - E_G[T | X = x]).
+    cond_mean = [
+        [math.fsum(family.stats[j][x, z] * g[x, z] * mu2[z] for z in range(n2)) / g1[x]
+         for x in range(n1)]
+        for j in range(3)
+    ]
+    rows = [
+        [
+            math.fsum(
+                thetadot[j] * (family.stats[j][x, z] - cond_mean[j][x]) for j in range(3)
+            )
+            for z in range(n2)
+        ]
+        for x in range(n1)
+    ]
+    np.testing.assert_allclose(
+        sb.conditional_velocities(family, theta, thetadot), rows, atol=1e-13
     )

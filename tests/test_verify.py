@@ -51,12 +51,30 @@ def test_config_validation():
         run_verification(seed=-1)
     with pytest.raises(sb.StatBundleError):
         run_verification(sizes=[])
-    with pytest.raises(sb.StatBundleError):
-        run_verification(slack=0.0)
+    # An infinite slack would pass every check vacuously.
+    for slack in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(sb.StatBundleError, match="positive and finite"):
+            run_verification(slack=slack)
     with pytest.raises(sb.StatBundleError, match="no-such-check"):
         run_verification(trials=1, names=["kl-chain", "no-such-check"])
     with pytest.raises(sb.StatBundleError):
         run_verification(trials=1, names=[])
+
+
+@pytest.mark.parametrize(
+    "sizes", [[(-2, 3)], [(1, 3)], [(0, 0)], [(2, 2), (3, 1)]]
+)
+def test_sizes_below_two_rejected_up_front(monkeypatch, sizes):
+    ran = []
+
+    def probe(rng, size):
+        ran.append(size)
+        return 0.0
+
+    monkeypatch.setattr(verify, "CHECKS", (verify._Check("probe", 1.0, "pair", probe),))
+    with pytest.raises(sb.StatBundleError, match="at least 2 outcomes per factor"):
+        run_verification(trials=1, sizes=sizes)
+    assert ran == []
 
 
 def test_format_report_table():
