@@ -172,15 +172,15 @@ def test_table_reductions_match_numpy(shape):
 
     # Row x of the conditional velocities: thetadot . (T(x, .) - E_G[T | X = x]).
     cond_mean = [
-        [math.fsum(family.stats[j][x, z] * g[x, z] * mu2[z] for z in range(n2)) / g1[x]
-         for x in range(n1)]
+        [
+            math.fsum(family.stats[j][x, z] * g[x, z] * mu2[z] for z in range(n2)) / g1[x]
+            for x in range(n1)
+        ]
         for j in range(3)
     ]
     rows = [
         [
-            math.fsum(
-                thetadot[j] * (family.stats[j][x, z] - cond_mean[j][x]) for j in range(3)
-            )
+            math.fsum(thetadot[j] * (family.stats[j][x, z] - cond_mean[j][x]) for j in range(3))
             for z in range(n2)
         ]
         for x in range(n1)
