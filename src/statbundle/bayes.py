@@ -22,7 +22,9 @@ one pass, with the rules the ``Density``/``FiberVector`` constructors
 apply to a single row.  The chart form lets the full transport pipeline
 (chart the velocity down, differentiate the chart expression, transport
 back to the moving frame) be reproduced and checked against the closed
-forms.  :func:`kl_chain` and :func:`exp_decompose` work on the tables.
+forms.  :func:`kl_chain` and :func:`exp_decompose` work on the tables;
+their conditional divergences D(p2 || q21(.|x)) come from the one KL
+formula of :mod:`~statbundle.divergence`, applied row by row.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .core import (
     product_density,
 )
 from .charts import exp_chart
-from .divergence import kl
+from .divergence import _kl_rows, kl
 
 
 def _joint_space(q12: Density) -> ProductSpace:
@@ -151,11 +153,6 @@ class ChartDecomposition:
     residual: float
 
 
-def _conditional_kls(p2: Density, cond: np.ndarray) -> np.ndarray:
-    """D(p2 || q21(.|x)) for each row x of a conditionals table."""
-    return np.sum(p2.space.weights * p2.values * np.log(p2.values / cond), axis=1)
-
-
 def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     """Split the exponential chart of a joint along margin and conditionals.
 
@@ -174,7 +171,7 @@ def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     mu2 = space.right.weights
     logratio = np.log(cond) - np.log(p2.values)
     u21 = _fiber_rows(p2.values, mu2, _centred_rows(logratio, p2.values, mu2))
-    cond_kl = _conditional_kls(p2, cond)
+    cond_kl = _kl_rows(mu2, p2.values, cond)
     centering = cond_kl - float(np.sum(cond_kl * p1.values * space.left.weights))
     residual = float(
         np.max(np.abs(u12 - (u1[:, None] + u21 - centering[:, None])))
@@ -204,6 +201,6 @@ def kl_chain(p1: Density, p2: Density, q12: Density) -> KLChain:
         raise MismatchError("reference densities do not match the joint space")
     total = kl(p12, q12)
     marginal_term = kl(p1, marginalize(q12))
-    cond_kl = _conditional_kls(p2, conditionals(q12))
+    cond_kl = _kl_rows(space.right.weights, p2.values, conditionals(q12))
     cond = float(np.sum(cond_kl * (p1.values * space.left.weights)))
     return KLChain(total, marginal_term, cond)

@@ -31,7 +31,7 @@ from .core import (
     _require_same_space,
     center,
 )
-from .findiff import FDConfig, fd_vector_curve
+from .findiff import fd_vector_curve
 
 INVERSE_CHART_DRIFT_LIMIT = 1e-10
 
@@ -68,7 +68,7 @@ def cumulant(p: Density, u: FiberVector) -> float:
     s = float((w * np.exp(vals - m)).sum())
     # Dividing by sum(w) rather than 1 pins cumulant(p, 0) == 0 exactly,
     # even when the weights only sum to 1 up to float round-off.
-    return m + np.log(s) - np.log(float(w.sum()))
+    return float(m + np.log(s) - np.log(float(w.sum())))
 
 
 def exp_chart(p: Density, q: Density) -> FiberVector:
@@ -134,21 +134,18 @@ def m_transport(p: Density, q: Density, w: FiberVector) -> FiberVector:
     return FiberVector(q, p.values / q.values * w.values, w.polarity)
 
 
-def score_velocity(curve: Curve, t: float, h: float = 1e-5) -> FiberVector:
+def score_velocity(curve: Curve, t: float) -> FiberVector:
     """Fisher score d/dt log q(t) by central differences.
 
-    The difference quotient of :func:`~statbundle.findiff.fd_vector_curve`
-    on log q is re-centered under q(t) to remove the O(h^2) mean drift, so
-    the result is an exact fiber vector.  ``h`` must lie in (0, 1e-2).
+    The difference quotient of :func:`~statbundle.findiff.fd_vector_curve`,
+    at its step h = 1e-5, on log q is re-centered under q(t) to remove the
+    O(h^2) mean drift, so the result is an exact fiber vector.  A probe
+    point t +- h outside the curve's domain raises the curve's
+    :class:`StatBundleError`.
     """
-    if not (curve.t0 <= t - h and t + h <= curve.t1):
-        raise StatBundleError(
-            f"central difference at t={t} with h={h} leaves the curve "
-            f"domain [{curve.t0}, {curve.t1}]"
-        )
     return center(
         curve(t),
-        fd_vector_curve(lambda s: np.log(curve(s).values), t, FDConfig(h)),
+        fd_vector_curve(lambda s: np.log(curve(s).values), t),
         "exponential",
     )
 

@@ -19,6 +19,7 @@ function, so everything here is safe to use from concurrent contexts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Literal, Union
 
@@ -54,6 +55,14 @@ def _as_float_array(values, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise StatBundleError(f"{name} contains a non-finite entry")
     return arr
+
+
+def _as_int(value, name: str) -> int:
+    """``value`` as an int if it is an integer, numpy integers included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise StatBundleError(f"{name} must be an integer, not {value!r}") from None
 
 
 def _coord_label(shape: tuple[int, ...], flat_index: int) -> str:
@@ -295,10 +304,6 @@ class Density:
             self.space.weights.ravel(), vals.reshape(1, -1), vals.shape
         )
         object.__setattr__(self, "values", _freeze(checked.reshape(vals.shape)))
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
     def __eq__(self, other) -> bool:
         if self is other:

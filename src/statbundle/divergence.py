@@ -29,11 +29,21 @@ from .core import (
 from .charts import exp_chart, mix_chart
 
 
+def _kl_rows(mu: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum(mu * q * log(q / r)) over the last axis: D(q||r) of each row.
+
+    The one KL formula of the package; :func:`kl` applies it to raveled
+    densities and :mod:`~statbundle.bayes` to tables of conditionals.
+    """
+    return (mu * q * np.log(q / r)).sum(axis=-1)
+
+
 def kl(q: Density, r: Density) -> float:
     """D(q||r) = sum(q * log(q/r) * mu) >= 0, zero iff q == r."""
     _require_same_space(q.space, r.space)
-    qv = q.values.ravel()
-    return float((q.space.weights.ravel() * qv * np.log(qv / r.values.ravel())).sum())
+    return float(
+        _kl_rows(q.space.weights.ravel(), q.values.ravel(), r.values.ravel())
+    )
 
 
 def structural_reconstruct(p: Density, q: Density) -> Density:

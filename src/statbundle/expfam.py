@@ -6,9 +6,10 @@ R^d is a valid parameter domain and ``psi`` is the base cumulant of
 ``theta . T``.  Consequences used throughout:
 
 * psi(theta) = D(p1 (x) p2 || G(theta)) and grad psi(theta) = E_G[T];
-* the model velocity is (T - E_G[T]) . thetadot, its margin the
-  conditional expectation of the same, and the velocities of its
-  conditionals the centered x-sections, which
+* the model velocity is (T - E_G[T]) . thetadot; the velocities of its
+  margin and of its conditionals are the derivatives of marginalization
+  and conditioning in :mod:`~statbundle.bayes` applied to it, the
+  conditional expectation and the centered x-sections, which
   :func:`conditional_velocities` gives as one (n1, n2) table; each
   velocity evaluates G(theta) once;
 * for a fixed margin r1, the parameter gradients of D(r1 || G1(theta))
@@ -16,9 +17,9 @@ R^d is a valid parameter domain and ``psi`` is the base cumulant of
   C = E_G[T - E_G[T] | X] against r1*mu1 and against log(r1/G1)*G1*mu1;
 * the Fisher matrix of the margin family is C diag(G1*mu1) C^T.
 
-Every conditional expectation E[T_j | X = x] under a row-weight table
-comes from one contraction, ``_row_sums``, that allocates no (d, n1, n2)
-array.  For C the same row sums also give E_G[T], by the tower property
+The conditional expectations E_G[T_j | X = x] of C come from one
+contraction, ``_row_sums``, that allocates no (d, n1, n2) array.  The same
+row sums also give E_G[T], by the tower property
 E_G[T] = E_G1[E_G[T | X]], so the statistics are read once per table.
 
 :func:`natural_gradient_flow` descends either objective along the
@@ -41,12 +42,12 @@ from .core import (
     ProductSpace,
     StatBundleError,
     _as_float_array,
-    _fiber_rows,
+    _as_int,
     product_density,
 )
 from .charts import exp_chart_inv, cumulant
 from .divergence import kl
-from .bayes import conditionals, marginal_derivative, marginalize
+from .bayes import conditional_derivatives, marginal_derivative, marginalize
 
 GRAM_EIGENVALUE_FLOOR = 1e-10
 MAX_BACKTRACK_HALVINGS = 30
@@ -177,17 +178,14 @@ def marginal_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
 
 
 def conditional_velocities(family: ExpFamily, theta, thetadot) -> np.ndarray:
-    """Velocities of all conditionals at once: the read-only (n1, n2) table
-    whose row x is the centered x-section (T(x, .) - E[T(x, .) | X = x]) .
-    thetadot, validated as a fiber vector at q21(.|x).  Evaluates the member
-    G(theta) once."""
+    """Velocities of all conditionals at once: the conditioning derivatives
+    applied to the joint velocity, i.e. the read-only (n1, n2) table whose
+    row x is the centered x-section (T(x, .) - E[T(x, .) | X = x]) .
+    thetadot, validated as a fiber vector at q21(.|x)."""
     theta = _check_theta(family, theta)
     thetadot = _check_theta(family, thetadot)
-    cond = conditionals(density(family, theta))
-    mu2 = family.space.right.weights
-    means = _row_sums(family, cond * mu2)
-    rows = _combine(family, thetadot) - (thetadot @ means)[:, None]
-    return _fiber_rows(cond, mu2, rows)
+    g = density(family, theta)
+    return conditional_derivatives(g, _velocity(family, g, thetadot))
 
 
 def _stats_expect(family: ExpFamily, g: Density) -> np.ndarray:
@@ -327,11 +325,12 @@ def natural_gradient_flow(
     point evaluates G(theta) and its margin once; the accepted one reuses
     them for the objective, the gradient and F.
 
-    ``step`` and ``tol`` must be positive and finite.  Stops converged
-    when ||F^-1 g|| drops below ``tol``; otherwise the trace's
-    ``stop_reason`` says why it stopped.  The Euclidean gradient norm is
-    no stopping rule: on a saturated plateau it underflows far from the
-    optimum, where the natural step stays large.
+    ``step`` and ``tol`` must be positive and finite, and ``iters`` a
+    positive integer.  Stops converged when ||F^-1 g|| drops below
+    ``tol``; otherwise the trace's ``stop_reason`` says why it stopped.
+    The Euclidean gradient norm is no stopping rule: on a saturated
+    plateau it underflows far from the optimum, where the natural step
+    stays large.
     """
     if mode not in ("left", "right"):
         raise StatBundleError(f"unknown flow mode {mode!r}")
@@ -339,6 +338,7 @@ def natural_gradient_flow(
         raise StatBundleError("step must be positive and finite")
     if not 0.0 < tol < math.inf:
         raise StatBundleError("tol must be positive and finite")
+    iters = _as_int(iters, "iters")
     if iters < 1:
         raise StatBundleError("iters must be at least 1")
     _check_margin(family, r1)

@@ -97,10 +97,6 @@ def _space_from(obj: object, path) -> SampleSpace:
     return make_space(_floats(obj, "weights", path))
 
 
-def load_space(path) -> SampleSpace:
-    return _space_from(_load_json(path), path)
-
-
 def load_density(path) -> Density:
     obj = _load_json(path)
     space = _space_from(_require(obj, "space", path), path)

@@ -28,6 +28,7 @@ from .core import (
     ProductSpace,
     SampleSpace,
     StatBundleError,
+    _as_int,
     _fiber_rows,
     expect,
     make_space,
@@ -474,15 +475,18 @@ def run_verification(
     positive and finite, scales every threshold (handy for exploratory
     runs; the defaults are the contractual tolerances).  An empty
     ``names``, or one naming no check, raises :class:`StatBundleError`
-    rather than passing vacuously.
+    rather than passing vacuously.  ``seed``, ``trials`` and the sizes
+    must be integers, numpy integers included.
     """
+    seed = _as_int(seed, "seed")
     if seed < 0:
         raise StatBundleError("seed must be nonnegative")
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise StatBundleError("trials must be at least 1")
     if not 0.0 < slack < math.inf:
         raise StatBundleError("tolerance slack must be positive and finite")
-    sizes = tuple((int(a), int(b)) for a, b in sizes)
+    sizes = tuple((_as_int(a, "size"), _as_int(b, "size")) for a, b in sizes)
     if not sizes:
         raise StatBundleError("at least one size is required")
     small = [f"{a}x{b}" for a, b in sizes if min(a, b) < 2]

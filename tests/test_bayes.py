@@ -418,6 +418,20 @@ class TestKLChain:
             p2 = sb.random_density(q12.space.right, [42, seed])
             assert sb.kl_chain(p1, p2, q12).residual <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 17), (3, 257)])
+    def test_conditional_term_is_the_averaged_kl(self, shape):
+        # bit for bit the p1 mu1-weighted sum of kl(p2, q21(.|x)): the
+        # conditional divergences are computed by kl's own formula
+        q12 = random_joint(*shape, [46, *shape])
+        p1 = sb.random_density(q12.space.left, 47)
+        p2 = sb.random_density(q12.space.right, 48)
+        kls = np.array([
+            sb.kl(p2, sb.Density(q12.space.right, row))
+            for row in sb.conditionals(q12)
+        ])
+        expected = float(np.sum(kls * (p1.values * q12.space.left.weights)))
+        assert sb.kl_chain(p1, p2, q12).conditional_term == expected
+
     def test_total_matches_enumeration(self):
         q12 = random_joint(3, 4, 43)
         p1 = sb.random_density(q12.space.left, 44)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import statbundle as sb
+from statbundle import findiff
 from statbundle.findiff import fd_vector_curve
 
 
@@ -205,24 +206,25 @@ class TestScoreVelocity:
 
     def test_is_the_centred_log_difference_quotient(self):
         # bit for bit the quotient it computed before it shared the
-        # finite-difference oracle's
+        # finite-difference oracle's, at the oracle's step
         space = sb.make_space([0.6, 0.9, 1.5])
         q = sb.random_density(space, 9)
         curve = sb.mixture_curve(q, sb.random_fiber(q, 10, "mixture"))
-        for h in (1e-5, 1e-3):
-            diff = np.log(curve(0.1 + h).values) - np.log(curve(0.1 - h).values)
-            expected = sb.center(curve(0.1), diff / (2.0 * h))
-            got = sb.score_velocity(curve, 0.1, h)
-            assert got.values.tobytes() == expected.values.tobytes()
-        with pytest.raises(ValueError, match="step"):
-            sb.score_velocity(curve, 0.1, h=0.0)
+        h = findiff.STEP
+        diff = np.log(curve(0.1 + h).values) - np.log(curve(0.1 - h).values)
+        expected = sb.center(curve(0.1), diff / (2.0 * h))
+        got = sb.score_velocity(curve, 0.1)
+        assert got.values.tobytes() == expected.values.tobytes()
 
     def test_domain_violation(self):
+        # a probe point t +- h past either end is the curve's own domain
+        # error, whether or not t itself is inside
         space = sb.make_space([0.5, 0.5])
         q = sb.random_density(space, 0)
         curve = sb.Curve(at=lambda t: q, t0=-1.0, t1=1.0)
-        with pytest.raises(sb.StatBundleError, match="domain"):
-            sb.score_velocity(curve, 1.0)
+        for t in (1.0, 1.0 - 0.5 * findiff.STEP, -1.0, 1.5):
+            with pytest.raises(sb.StatBundleError, match="domain"):
+                sb.score_velocity(curve, t)
 
     def test_moving_frame_matches_score(self):
         # the t-derivative of either chart, frozen at the moving point,

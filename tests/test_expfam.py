@@ -91,6 +91,14 @@ class TestPsi:
         fam = random_family(3, 3, 1, 63)
         assert abs(sb.psi(fam, [0.0])) <= 1e-14
 
+    def test_is_a_python_float(self):
+        # as kl is, so residuals built from either print as plain floats
+        fam = random_family(3, 4, 2, 64)
+        theta = np.array([0.7, -0.4])
+        assert type(sb.psi(fam, theta)) is float
+        chart = sb.exp_chart(fam.base12, sb.density(fam, theta))
+        assert type(sb.cumulant(fam.base12, chart)) is float
+
 
 class TestDensity:
     def test_origin_recovers_base(self, diag_family):
@@ -189,7 +197,7 @@ class TestVelocities:
         joint = sb.joint_velocity(fam, theta, thetadot)
         direct = sb.conditional_velocities(fam, theta, thetadot)
         composed = sb.conditional_derivatives(g, joint)
-        np.testing.assert_allclose(direct, composed, atol=1e-14)
+        assert direct.tobytes() == composed.tobytes()
 
     @pytest.mark.parametrize(
         "shape, d", [((2, 2), 1), ((2, 7), 3), ((7, 2), 2), ((5, 3), 3)]
@@ -412,12 +420,28 @@ class TestFlow:
             sb.natural_gradient_flow(margin_family, [1.0], r1, mode="sideways")
         with pytest.raises(sb.StatBundleError):
             sb.natural_gradient_flow(margin_family, [1.0], r1, iters=0)
+        # a fractional or infinite budget is never met by the integer
+        # iteration count, so the cap would never fire
+        for iters in (2.5, math.inf, 3.0, "3"):
+            with pytest.raises(sb.StatBundleError, match="iters must be an integer"):
+                sb.natural_gradient_flow(margin_family, [1.0], r1, iters=iters)
         # tol = inf would report convergence at iteration 0; tol <= 0 or
         # nan could never be met, and the flow would run until it stalls
         for name in ("step", "tol"):
             for value in (0.0, -1.0, math.inf, math.nan):
                 with pytest.raises(sb.StatBundleError, match="positive and finite"):
                     sb.natural_gradient_flow(margin_family, [1.0], r1, **{name: value})
+
+    def test_numpy_integer_iters(self, margin_family):
+        r1 = sb.make_density(margin_family.space.left, [1.2, 0.8])
+        plain = sb.natural_gradient_flow(margin_family, [1.0], r1, iters=2, tol=1e-12)
+        numpy = sb.natural_gradient_flow(
+            margin_family, [1.0], r1, iters=np.int64(2), tol=1e-12
+        )
+        assert plain.stop_reason == numpy.stop_reason == "iteration_cap"
+        assert [r.theta.tobytes() for r in plain.records] == [
+            r.theta.tobytes() for r in numpy.records
+        ]
 
     @pytest.mark.parametrize("mode", ["left", "right"])
     def test_overflowing_step_is_halved(self, margin_family, mode):

@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 import statbundle as sb
-from statbundle.findiff import FDConfig, fd_gradient, fd_scalar, fd_vector_curve
+from statbundle import findiff
+from statbundle.findiff import fd_gradient, fd_scalar, fd_vector_curve
 
 
 class TestConfig:
     def test_defaults(self):
-        cfg = FDConfig()
-        assert cfg.h == 1e-5
-
-    def test_step_bounds(self):
-        with pytest.raises(ValueError):
-            FDConfig(h=0.0)
-        with pytest.raises(ValueError):
-            FDConfig(h=0.5)
+        assert findiff.STEP == 1e-5
 
 
 class TestScalar:
@@ -24,13 +18,26 @@ class TestScalar:
         assert fd_scalar(lambda t: 4.2, 1.3) == 0.0
 
     def test_exact_on_quadratic(self):
-        # truncation vanishes on quadratics; a larger step keeps the
-        # cancellation roundoff (~eps * |f| / 2h) below 1e-12 as well
-        got = fd_scalar(lambda t: t * t, 3.0, FDConfig(h=5e-3))
-        assert abs(got - 6.0) <= 1e-12
-        # at the default step the residual is pure roundoff
+        # truncation vanishes on quadratics: the residual is pure roundoff
         got = fd_scalar(lambda t: t * t, 3.0)
         assert abs(got - 6.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "fn, t",
+        [
+            (lambda t: t * t, 3.0),
+            (lambda t: math.log(math.cosh(t)), 1.0),
+            (lambda t: np.float64(math.exp(-t)) * 7.3, -0.4),
+            (lambda t: 1e-3 * t**3 - t, 1e4),
+        ],
+    )
+    def test_is_the_vector_quotient(self, fn, t):
+        # one difference quotient serves both: the same bits as a float
+        got = fd_scalar(fn, t)
+        assert type(got) is float
+        assert got == float(fd_vector_curve(fn, t))
+        hi, lo = fn(t + findiff.STEP), fn(t - findiff.STEP)
+        assert got == (hi - lo) / (2.0 * findiff.STEP)
 
     def test_log_cosh(self):
         got = fd_scalar(lambda t: math.log(math.cosh(t)), 1.0)

@@ -59,6 +59,21 @@ def test_config_validation():
         run_verification(trials=1, names=["kl-chain", "no-such-check"])
     with pytest.raises(sb.StatBundleError):
         run_verification(trials=1, names=[])
+    for name in ("seed", "trials"):
+        for value in (2.5, 2.0, float("inf"), "2", None):
+            with pytest.raises(sb.StatBundleError, match=f"{name} must be an integer"):
+                run_verification(names=["kl-chain"], **{name: value})
+    # a fractional size used to be truncated, and a string parsed
+    for sizes in ([(2.7, 3)], [(2, 3.0)], [("2", "3")]):
+        with pytest.raises(sb.StatBundleError, match="size must be an integer"):
+            run_verification(trials=1, sizes=sizes, names=["kl-chain"])
+
+
+def test_numpy_integer_counts():
+    plain = run_verification(seed=3, trials=2, names=["kl-chain"])
+    numpy = run_verification(seed=np.int64(3), trials=np.int32(2), names=["kl-chain"])
+    assert numpy.checks == plain.checks
+    assert type(numpy.seed) is int and type(numpy.trials) is int
 
 
 @pytest.mark.parametrize(
