@@ -40,6 +40,7 @@ from .core import (
     MismatchError,
     ProductSpace,
     _density_rows,
+    _expect,
     _fiber_rows,
     _require_same_base,
     _row_masses,
@@ -172,7 +173,7 @@ def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     logratio = np.log(cond) - np.log(p2.values)
     u21 = _fiber_rows(p2.values, mu2, _centred_rows(logratio, p2.values, mu2))
     cond_kl = _kl_rows(mu2, p2.values, cond)
-    centering = cond_kl - float(np.sum(cond_kl * p1.values * space.left.weights))
+    centering = cond_kl - _expect(p1, cond_kl)
     residual = float(
         np.max(np.abs(u12 - (u1[:, None] + u21 - centering[:, None])))
     )

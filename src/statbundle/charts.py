@@ -26,7 +26,6 @@ from .core import (
     NormalizationError,
     StatBundleError,
     _coord_label,
-    _expect,
     _require_same_base,
     _require_same_space,
     center,
@@ -124,7 +123,7 @@ def e_transport(p: Density, q: Density, v: FiberVector) -> FiberVector:
     """Exponential transport from p to q: v - E_q[v]."""
     _require_same_base(v, p)
     _require_same_space(p.space, q.space)
-    return FiberVector(q, v.values - _expect(q, v.values), v.polarity)
+    return center(q, v.values, v.polarity)
 
 
 def m_transport(p: Density, q: Density, w: FiberVector) -> FiberVector:

@@ -92,11 +92,13 @@ def _centring_bound(vals, q, mu, floor=1.0):
 def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum(row * weights) for each row of a (k, n) block.
 
-    One ``np.dot`` per row, so a :class:`Density`, checked as a one-row
-    block, and the same row inside a table get the same mass to the last
-    bit.
+    One stacked (1, n) @ (n, 1) product per row, which numpy computes with
+    the dot ``np.dot(row, weights)`` makes, so a :class:`Density`, checked
+    as a one-row block, and the same row inside a table get the same mass
+    to the last bit.  A plain ``rows @ weights`` may block the sum
+    differently.
     """
-    return np.fromiter((np.dot(row, weights) for row in rows), float, len(rows))
+    return np.matmul(rows[:, None, :], weights[:, None])[:, 0, 0]
 
 
 def _row_label(rows: np.ndarray, x: int) -> str:
@@ -252,10 +254,6 @@ class ProductSpace:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.left.size, self.right.size)
-
-    @property
-    def size(self) -> int:
-        return self.left.size * self.right.size
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -413,14 +411,7 @@ def pairing(q: Density, w: FiberVector, v: FiberVector) -> float:
     """Covariance pairing <w, v>_q = E_q[w * v]; symmetric in w and v."""
     _require_same_base(w, q)
     _require_same_base(v, q)
-    return float(
-        (
-            w.values.ravel()
-            * v.values.ravel()
-            * q.values.ravel()
-            * q.space.weights.ravel()
-        ).sum()
-    )
+    return _expect(q, w.values * v.values)
 
 
 def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:

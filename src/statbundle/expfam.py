@@ -86,9 +86,7 @@ def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
     below 1e-10.
     """
     p12 = product_density(p1, p2)
-    arr = _as_float_array(np.asarray(raw_stats, dtype=float), "statistics")
-    if arr.ndim == 2:
-        arr = arr[None]
+    arr = _as_float_array(raw_stats, "statistics")
     if arr.ndim != 3 or arr.shape[1:] != p12.space.shape:
         raise MismatchError(
             f"statistics shape {arr.shape} does not match product shape "
@@ -235,14 +233,22 @@ def _kl_gradient(
     return table, -table @ (logratio * (mu1 * g1.values))
 
 
+def _theta_gradient(family: ExpFamily, theta, r1: Density, mode: str) -> np.ndarray:
+    """Gradient in theta of the flow objective of ``mode`` at G(theta); the
+    margin G1 is computed only in right mode, the one that reads it."""
+    theta = _check_theta(family, theta)
+    r1 = _check_margin(family, r1)
+    g = density(family, theta)
+    g1 = marginalize(g) if mode == "right" else None
+    return _kl_gradient(family, g, g1, r1, mode)[1]
+
+
 def kl_theta_gradient_left(family: ExpFamily, theta, r1: Density) -> np.ndarray:
     """Gradient of theta -> D(r1 || G1(theta)).
 
     g_j = -sum_x E_G[T_j - E_G[T_j] | X = x] * r1(x) * mu1(x).
     """
-    theta = _check_theta(family, theta)
-    r1 = _check_margin(family, r1)
-    return _kl_gradient(family, density(family, theta), None, r1, "left")[1]
+    return _theta_gradient(family, theta, r1, "left")
 
 
 def kl_theta_gradient_right(family: ExpFamily, theta, r1: Density) -> np.ndarray:
@@ -250,10 +256,7 @@ def kl_theta_gradient_right(family: ExpFamily, theta, r1: Density) -> np.ndarray
 
     g_j = -sum_x E_G[T_j - E_G[T_j] | X = x] * log(r1/G1)(x) * G1(x) * mu1(x).
     """
-    theta = _check_theta(family, theta)
-    r1 = _check_margin(family, r1)
-    g = density(family, theta)
-    return _kl_gradient(family, g, marginalize(g), r1, "right")[1]
+    return _theta_gradient(family, theta, r1, "right")
 
 
 @dataclass(frozen=True)

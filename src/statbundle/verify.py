@@ -286,17 +286,26 @@ def _check_marginal_derivative_enum(rng, size: tuple[int, int]) -> float:
     return _maxabs(lib - np.asarray(oracle))
 
 
+def _fd_marginal_derivative(q12: Density, curve: Callable) -> np.ndarray:
+    """Central differences at t = 0 of the margin of ``curve``, a curve of
+    joints through q12, read in the mixture chart at q12's margin."""
+    q1 = marginalize(q12)
+    return fd_vector_curve(lambda t: mix_chart(q1, marginalize(curve(t))).values, 0.0)
+
+
+def _fd_conditional_derivatives(q12: Density, curve: Callable) -> np.ndarray:
+    """The same for every conditional at once, each row in the mixture chart
+    at its conditional: one perturbed joint per probe, conditioned whole."""
+    base = conditionals(q12)
+    return fd_vector_curve(lambda t: conditionals(curve(t)) / base - 1.0, 0.0)
+
+
 def _check_marginal_derivative_fd(rng, size: tuple[int, int]) -> float:
     space = _random_product(rng, *size)
     q12 = random_density(space, rng)
     v = random_fiber(q12, rng)
     lib = marginal_derivative(q12, v).values
-    q1 = marginalize(q12)
-    curve = mixture_curve(q12, v)
-    numeric = fd_vector_curve(
-        lambda t: mix_chart(q1, marginalize(curve(t))).values, 0.0
-    )
-    return _maxabs(lib - numeric)
+    return _maxabs(lib - _fd_marginal_derivative(q12, mixture_curve(q12, v)))
 
 
 def _check_conditional_derivative_enum(rng, size: tuple[int, int]) -> float:
@@ -320,11 +329,7 @@ def _check_conditional_derivative_fd(rng, size: tuple[int, int]) -> float:
     space = _random_product(rng, *size)
     q12 = random_density(space, rng)
     v = random_fiber(q12, rng)
-    curve = mixture_curve(q12, v)
-    base = conditionals(q12)
-    # The mixture chart of every conditional at once: one perturbed joint
-    # per probe, conditioned as a whole table.
-    numeric = fd_vector_curve(lambda t: conditionals(curve(t)) / base - 1.0, 0.0)
+    numeric = _fd_conditional_derivatives(q12, mixture_curve(q12, v))
     return _maxabs(conditional_derivatives(q12, v) - numeric)
 
 
@@ -384,19 +389,15 @@ def _check_velocities_fd(rng, size: tuple[int, int]) -> float:
         return density(family, theta + t * thetadot)
 
     g = member(0.0)
-    g1 = marginalize(g)
     worst = _maxabs(
         joint_velocity(family, theta, thetadot).values
         - score_velocity(Curve(at=member), 0.0).values
     )
-    numeric = fd_vector_curve(
-        lambda t: mix_chart(g1, marginalize(member(t))).values, 0.0
-    )
+    numeric = _fd_marginal_derivative(g, member)
     worst = max(
         worst, _maxabs(marginal_velocity(family, theta, thetadot).values - numeric)
     )
-    base = conditionals(g)
-    numeric = fd_vector_curve(lambda t: conditionals(member(t)) / base - 1.0, 0.0)
+    numeric = _fd_conditional_derivatives(g, member)
     return max(
         worst, _maxabs(conditional_velocities(family, theta, thetadot) - numeric)
     )
