@@ -30,12 +30,15 @@ from .charts import exp_chart, mix_chart
 
 
 def _kl_rows(mu: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sum(mu * q * log(q / r)) over the last axis: D(q||r) of each row.
+    """sum(mu * q * (log q - log r)) over the last axis: D(q||r) of each row.
 
     The one KL formula of the package; :func:`kl` applies it to raveled
-    densities and :mod:`~statbundle.bayes` to tables of conditionals.
+    densities and :mod:`~statbundle.bayes` to tables of conditionals.  The
+    log-ratio is the exponential chart's difference of logs, finite for
+    every pair of positive floats, where the quotient q / r can overflow
+    to inf or underflow to 0.
     """
-    return (mu * q * np.log(q / r)).sum(axis=-1)
+    return (mu * q * (np.log(q) - np.log(r))).sum(axis=-1)
 
 
 def kl(q: Density, r: Density) -> float:

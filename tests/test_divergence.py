@@ -47,6 +47,25 @@ class TestKL:
         assert np.max(np.abs(q.values - r.values)) <= 1e-7
         assert sb.kl(q, r) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "mu, q_vals, r_vals",
+        [
+            # q / r overflows to inf: log(q / r) is inf, not 717.
+            ([1e-12, 1.0], [5e11, 0.5], [1e-300, 1.0]),
+            # q / r underflows to 0 where mu * q is 0: 0 * log(0) is nan.
+            ([1e-24, 1.0], [1e-300, 1.0], [5e23, 0.5]),
+        ],
+    )
+    def test_ratio_outside_the_float_range(self, mu, q_vals, r_vals):
+        space = sb.make_space(mu)
+        q, r = sb.make_density(space, q_vals), sb.make_density(space, r_vals)
+        expected = math.fsum(
+            m * a * (math.log(a) - math.log(b))
+            for a, b, m in zip(q.values, r.values, mu)
+        )
+        assert math.isfinite(expected)
+        assert sb.kl(q, r) == pytest.approx(expected, rel=1e-15)
+
     def test_space_mismatch(self, two_point):
         _, _, q, _ = two_point
         other = sb.random_density(sb.make_space([1, 1, 1]), 0)
