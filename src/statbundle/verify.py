@@ -461,6 +461,16 @@ CHECKS: tuple[_Check, ...] = (
 )
 
 
+def _size(size) -> tuple[int, int]:
+    try:
+        a, b = size
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise StatBundleError(
+            f"a size must be a pair of integers, not {size!r}"
+        ) from None
+    return _as_int(a, "size"), _as_int(b, "size")
+
+
 def run_verification(
     seed: int = 42,
     trials: int = 25,
@@ -476,8 +486,8 @@ def run_verification(
     positive and finite, scales every threshold (handy for exploratory
     runs; the defaults are the contractual tolerances).  An empty
     ``names``, or one naming no check, raises :class:`StatBundleError`
-    rather than passing vacuously.  ``seed``, ``trials`` and the sizes
-    must be integers, numpy integers included.
+    rather than passing vacuously.  ``seed``, ``trials`` and the entries
+    of each size pair must be integers, numpy integers included.
     """
     seed = _as_int(seed, "seed")
     if seed < 0:
@@ -487,7 +497,7 @@ def run_verification(
         raise StatBundleError("trials must be at least 1")
     if not 0.0 < slack < math.inf:
         raise StatBundleError("tolerance slack must be positive and finite")
-    sizes = tuple((_as_int(a, "size"), _as_int(b, "size")) for a, b in sizes)
+    sizes = tuple(map(_size, sizes))
     if not sizes:
         raise StatBundleError("at least one size is required")
     small = [f"{a}x{b}" for a, b in sizes if min(a, b) < 2]

@@ -455,3 +455,5 @@ class TestKLChain:
         p_ok = sb.uniform_density(q12.space.right)
         with pytest.raises(sb.MismatchError):
             sb.kl_chain(p_wrong, p_ok, q12)
+        with pytest.raises(sb.MismatchError, match="reference densities"):
+            sb.exp_decompose(p_wrong, p_ok, q12)

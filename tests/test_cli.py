@@ -50,6 +50,12 @@ class TestVerifyCommand:
             main(["verify", "--sizes", "2by2"])
         assert exc.value.code == 2
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed=-1"])
+        assert exc.value.code == 2
+        assert "expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(SystemExit) as exc:
@@ -158,9 +164,15 @@ class TestBayesCommand:
              ' "values": [[1.6, 0.4], [0.4, 1.6]]}', "weights"),
             ('{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [0.5, 0.5]},'
              ' "values": [[1.6, 0.4], [null, 1.6]]}', "values"),
+            ('[[1.6, 0.4], [0.4, 1.6]]', None),
+            ('{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [0.5, 0.5]}}',
+             "values"),
+            ('{"left": [0.5, 0.5], "right": {"weights": [0.5, 0.5]},'
+             ' "values": [[1.6, 0.4], [0.4, 1.6]]}', None),
         ],
         ids=["invalid-json", "ragged", "non-numeric", "non-numeric-weights",
-             "numeric-string", "boolean", "null"],
+             "numeric-string", "boolean", "null", "not-an-object", "missing-key",
+             "malformed-space"],
     )
     def test_malformed_joint_names_file(self, tmp_path, capsys, text, key):
         joint = tmp_path / "malformed.json"
@@ -229,6 +241,17 @@ class TestFlowCommand:
         _, rows = read_csv(out / "trace.csv")
         assert len(rows) == 1
 
+    def test_malformed_theta0_is_a_usage_error(self, tmp_path, capsys):
+        family = write_fixture(tmp_path, "margin_family.json")
+        target = write_fixture(tmp_path, "flow_target.json")
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["flow", "--family", str(family), "--target", str(target),
+                 "--theta0", "1.0,x", "--out", str(tmp_path / "flow")]
+            )
+        assert exc.value.code == 2
+        assert "bad float list '1.0,x'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value", [("--tol", "inf"), ("--tol", "nan"), ("--step", "inf")]
     )
@@ -275,6 +298,14 @@ class TestFlowCommand:
         )
         assert rc == 2
         assert "dependent" in capsys.readouterr().err
+
+
+def test_demo_command(tmp_path, capsys):
+    rc = main(["demo", "--out", str(tmp_path / "demo"), "--seed", "3"])
+    assert rc == 0
+    assert "demo: overall PASS" in capsys.readouterr().out
+    for name in ("verify_report.csv", "bayes/kl_chain.csv", "flow/trace.csv"):
+        assert (tmp_path / "demo" / name).is_file()
 
 
 def test_csv_floats_round_trip(tmp_path):

@@ -546,6 +546,27 @@ def test_table_rules_name_the_reference_rule(block):
         )
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda q: sb.make_space([0.5, np.nan]), sb.StatBundleError,
+         "weights contains a non-finite entry"),
+        (lambda q: sb.make_space([[0.5, 0.5]]), sb.StatBundleError, "1-d vector"),
+        (lambda q: sb.FiberVector(q, [0.0, 0.0, 0.0]), sb.MismatchError,
+         r"fiber shape \(3,\) does not match base shape \(2,\)"),
+        (lambda q: sb.product_density(sb.product_density(q, q), q),
+         sb.MismatchError, "expects densities on factor spaces"),
+        (lambda q: sb.center(q, [1.0, 2.0, 3.0]), sb.MismatchError,
+         r"shape \(3,\) does not match density shape \(2,\)"),
+    ],
+    ids=["non-finite-weights", "2-d-weights", "fiber-shape", "product-of-a-joint",
+         "center-shape"],
+)
+def test_malformed_input_is_rejected(two_point, call, error, match):
+    with pytest.raises(error, match=match):
+        call(two_point[2])
+
+
 class TestRandomDensity:
     def test_deterministic_in_seed(self):
         space = sb.make_space([1.0, 1.0, 1.0])

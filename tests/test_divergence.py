@@ -232,3 +232,5 @@ class TestCommonParamGradient:
         _, p, q, _ = two_point
         with pytest.raises(sb.MismatchError):
             sb.common_param_gradient(p, q, [np.zeros(2)], [])
+        with pytest.raises(sb.MismatchError, match="partial log-density shape"):
+            sb.common_param_gradient(p, q, [np.zeros(2)], [np.zeros(3)])

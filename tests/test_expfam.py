@@ -56,6 +56,9 @@ class TestMakeExpFamily:
         p = sb.uniform_density(half_space)
         with pytest.raises(sb.MismatchError):
             sb.make_expfam(p, p, [[[1.0, -1.0]]])
+        # a 2-d table is no longer read as one statistic
+        with pytest.raises(sb.MismatchError, match=r"statistics shape \(2, 2\)"):
+            sb.make_expfam(p, p, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 class TestPsi:
@@ -420,6 +423,11 @@ class TestFlow:
             sb.natural_gradient_flow(margin_family, [1.0], r1, mode="sideways")
         with pytest.raises(sb.StatBundleError):
             sb.natural_gradient_flow(margin_family, [1.0], r1, iters=0)
+        with pytest.raises(sb.MismatchError, match="parameter shape"):
+            sb.natural_gradient_flow(margin_family, [1.0, 2.0], r1)
+        other = sb.uniform_density(sb.make_space([1.0, 1.0, 1.0]))
+        with pytest.raises(sb.MismatchError, match="target margin"):
+            sb.natural_gradient_flow(margin_family, [1.0], other)
         # a fractional or infinite budget is never met by the integer
         # iteration count, so the cap would never fire
         for iters in (2.5, math.inf, 3.0, "3"):

@@ -76,6 +76,17 @@ def test_numpy_integer_counts():
     assert type(numpy.seed) is int and type(numpy.trials) is int
 
 
+# These used to escape as a bare TypeError or ValueError from unpacking.
+@pytest.mark.parametrize(
+    "size", [3, (2,), (2, 2, 2), "2x2", None],
+    ids=["int", "one-entry", "three-entries", "string", "none"],
+)
+def test_size_that_is_not_a_pair_is_named(size):
+    with pytest.raises(sb.StatBundleError, match="pair of integers") as info:
+        run_verification(trials=1, sizes=[(2, 2), size], names=["kl-chain"])
+    assert repr(size) in str(info.value)
+
+
 @pytest.mark.parametrize(
     "sizes", [[(-2, 3)], [(1, 3)], [(0, 0)], [(2, 2), (3, 1)]]
 )
