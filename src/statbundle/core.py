@@ -92,11 +92,10 @@ def _centring_bound(vals, q, mu, floor=1.0):
 def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum(row * weights) for each row of a (k, n) block.
 
-    One stacked (1, n) @ (n, 1) product per row, which numpy computes with
-    the dot ``np.dot(row, weights)`` makes, so a :class:`Density`, checked
-    as a one-row block, and the same row inside a table get the same mass
-    to the last bit.  A plain ``rows @ weights`` may block the sum
-    differently.
+    One (1, n) @ (n, 1) product per row, computed with the dot that
+    ``np.dot(row, weights)`` makes (``rows @ weights`` sums in another
+    order), so a :class:`Density`, checked as a one-row block, and the same
+    row inside a table get the same mass to the last bit.
     """
     return np.matmul(rows[:, None, :], weights[:, None])[:, 0, 0]
 

@@ -34,9 +34,8 @@ def _kl_rows(mu: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     The one KL formula of the package; :func:`kl` applies it to raveled
     densities and :mod:`~statbundle.bayes` to tables of conditionals.  The
-    log-ratio is the exponential chart's difference of logs, finite for
-    every pair of positive floats, where the quotient q / r can overflow
-    to inf or underflow to 0.
+    difference of logs, as in the exponential chart, is finite where q / r
+    overflows or underflows.
     """
     return (mu * q * (np.log(q) - np.log(r))).sum(axis=-1)
 

@@ -234,8 +234,7 @@ def _kl_gradient(
 
 
 def _theta_gradient(family: ExpFamily, theta, r1: Density, mode: str) -> np.ndarray:
-    """Gradient in theta of the flow objective of ``mode`` at G(theta); the
-    margin G1 is computed only in right mode, the one that reads it."""
+    """The gradient of ``mode``'s objective; only right mode reads G1."""
     theta = _check_theta(family, theta)
     r1 = _check_margin(family, r1)
     g = density(family, theta)

@@ -242,20 +242,16 @@ def _check_common_param_fd(rng, n: int) -> float:
     A = [random_fiber(p, rng).values for _ in range(d)]
     B = [random_fiber(r, rng).values for _ in range(d)]
 
-    def m_at(theta: np.ndarray) -> Density:
-        u = sum(t * a for t, a in zip(theta, A))
-        return exp_chart_inv(p, FiberVector(p, u, "exponential"))
-
-    def n_at(theta: np.ndarray) -> Density:
-        u = sum(t * b for t, b in zip(theta, B))
-        return exp_chart_inv(r, FiberVector(r, u, "exponential"))
+    def tilt(base: Density, dirs, theta: np.ndarray) -> Density:
+        u = sum(t * a for t, a in zip(theta, dirs))
+        return exp_chart_inv(base, FiberVector(base, u, "exponential"))
 
     theta = rng.uniform(-1.0, 1.0, d)
-    M, N = m_at(theta), n_at(theta)
+    M, N = tilt(p, A, theta), tilt(r, B, theta)
     dlogM = [a - expect(M, a) for a in A]
     dlogN = [b - expect(N, b) for b in B]
     analytic = common_param_gradient(M, N, dlogM, dlogN)
-    numeric = fd_gradient(lambda th: kl(m_at(th), n_at(th)), theta)
+    numeric = fd_gradient(lambda th: kl(tilt(p, A, th), tilt(r, B, th)), theta)
     return _maxabs(analytic - numeric)
 
 
@@ -465,9 +461,7 @@ def _size(size) -> tuple[int, int]:
     try:
         a, b = size
     except (TypeError, ValueError):  # not iterable, or not two entries
-        raise StatBundleError(
-            f"a size must be a pair of integers, not {size!r}"
-        ) from None
+        raise StatBundleError(f"size {size!r} is not a pair of integers") from None
     return _as_int(a, "size"), _as_int(b, "size")
 
 
