@@ -391,6 +391,13 @@ class TestChartDecomposition:
         assert dec.residual <= 1e-12
         assert np.max(np.abs(dec.joint - rebuilt)) > 1e-6
 
+    def test_space_mismatch(self, joint_2x2):
+        _, q12 = joint_2x2
+        p_wrong = sb.random_density(sb.make_space([1, 1, 1]), 0)
+        p_ok = sb.uniform_density(q12.space.right)
+        with pytest.raises(sb.MismatchError, match="reference densities"):
+            sb.exp_decompose(p_wrong, p_ok, q12)
+
 
 class TestKLChain:
     def test_base_point_is_zero(self, two_point):
@@ -455,5 +462,3 @@ class TestKLChain:
         p_ok = sb.uniform_density(q12.space.right)
         with pytest.raises(sb.MismatchError):
             sb.kl_chain(p_wrong, p_ok, q12)
-        with pytest.raises(sb.MismatchError, match="reference densities"):
-            sb.exp_decompose(p_wrong, p_ok, q12)
