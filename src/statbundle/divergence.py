@@ -24,9 +24,10 @@ from .core import (
     _as_float_array,
     _require_same_base,
     _require_same_space,
+    center,
     pairing,
 )
-from .charts import exp_chart, mix_chart
+from .charts import exp_chart
 
 
 def _kl_rows(mu: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -60,15 +61,17 @@ def structural_reconstruct(p: Density, q: Density) -> Density:
 
 
 def grad1_kl(q: Density, r: Density) -> FiberVector:
-    """First-slot natural gradient of D(q||r): -s_q(r), a fiber vector at q."""
-    s = exp_chart(q, r)
-    return FiberVector(q, -s.values, "exponential")
+    """First-slot natural gradient of D(q||r): -s_q(r), a fiber vector at q,
+    as log q - log r centred at q."""
+    _require_same_space(q.space, r.space)
+    return center(q, np.log(q.values) - np.log(r.values))
 
 
 def grad2_kl(q: Density, r: Density) -> FiberVector:
-    """Second-slot natural gradient of D(q||r): -eta_r(q), a fiber vector at r."""
-    eta = mix_chart(r, q)
-    return FiberVector(r, -eta.values, "mixture")
+    """Second-slot natural gradient of D(q||r): -eta_r(q) = 1 - q/r, a fiber
+    vector at r."""
+    _require_same_space(q.space, r.space)
+    return FiberVector(r, 1.0 - q.values / r.values, "mixture")
 
 
 def kl_curve_derivative(

@@ -146,33 +146,24 @@ def density(family: ExpFamily, theta) -> Density:
 
 def grad_psi(family: ExpFamily, theta) -> np.ndarray:
     """grad psi(theta) = E_{G(theta)}[T], one entry per statistic."""
-    theta = _check_theta(family, theta)
-    g = density(family, theta)
-    return _stats_expect(family, g)
-
-
-def _velocity(family: ExpFamily, g: Density, thetadot: np.ndarray) -> FiberVector:
-    """(T - E_g[T]) . thetadot as a fiber vector at the member g."""
-    vals = _combine(family, thetadot) - float(
-        thetadot @ _stats_expect(family, g)
-    )
-    return FiberVector(g, vals, "exponential")
+    return _stats_expect(family, density(family, theta))
 
 
 def joint_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
-    """Velocity of theta -> G(theta): (T - E_{G(theta)}[T]) . thetadot."""
+    """Velocity of theta -> G(theta): (T - E_{G(theta)}[T]) . thetadot,
+    a fiber vector at G(theta)."""
     theta = _check_theta(family, theta)
     thetadot = _check_theta(family, thetadot)
-    return _velocity(family, density(family, theta), thetadot)
+    g = density(family, theta)
+    vals = _combine(family, thetadot) - float(thetadot @ _stats_expect(family, g))
+    return FiberVector(g, vals, "exponential")
 
 
 def marginal_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
     """Velocity of the first margin: the marginalization derivative applied
     to the joint velocity, i.e. E_G[T - E_G[T] | X] . thetadot."""
-    theta = _check_theta(family, theta)
-    thetadot = _check_theta(family, thetadot)
-    g = density(family, theta)
-    return marginal_derivative(g, _velocity(family, g, thetadot))
+    v = joint_velocity(family, theta, thetadot)
+    return marginal_derivative(v.base, v)
 
 
 def conditional_velocities(family: ExpFamily, theta, thetadot) -> np.ndarray:
@@ -180,10 +171,8 @@ def conditional_velocities(family: ExpFamily, theta, thetadot) -> np.ndarray:
     applied to the joint velocity, i.e. the read-only (n1, n2) table whose
     row x is the centered x-section (T(x, .) - E[T(x, .) | X = x]) .
     thetadot, validated as a fiber vector at q21(.|x)."""
-    theta = _check_theta(family, theta)
-    thetadot = _check_theta(family, thetadot)
-    g = density(family, theta)
-    return conditional_derivatives(g, _velocity(family, g, thetadot))
+    v = joint_velocity(family, theta, thetadot)
+    return conditional_derivatives(v.base, v)
 
 
 def _stats_expect(family: ExpFamily, g: Density) -> np.ndarray:
@@ -210,10 +199,9 @@ def _centered_conditional_stats(family: ExpFamily, g: Density) -> np.ndarray:
     return sums / weighted.sum(axis=1) - mean[:, None]
 
 
-def _check_margin(family: ExpFamily, r1: Density) -> Density:
+def _check_margin(family: ExpFamily, r1: Density) -> None:
     if r1.space != family.space.left:
         raise MismatchError("target margin lives on a different space")
-    return r1
 
 
 def _kl_gradient(
@@ -235,9 +223,8 @@ def _kl_gradient(
 
 def _theta_gradient(family: ExpFamily, theta, r1: Density, mode: str) -> np.ndarray:
     """The gradient of ``mode``'s objective; only right mode reads G1."""
-    theta = _check_theta(family, theta)
-    r1 = _check_margin(family, r1)
     g = density(family, theta)
+    _check_margin(family, r1)
     g1 = marginalize(g) if mode == "right" else None
     return _kl_gradient(family, g, g1, r1, mode)[1]
 

@@ -41,7 +41,6 @@ from .core import (
     make_space,
 )
 from .expfam import ExpFamily, make_expfam
-from .verify import Report
 
 # Rows formatted and written per block: bounds the strings held at once.
 _BLOCK_ROWS = 4096
@@ -231,7 +230,7 @@ def write_flow_summary_csv(path, trace) -> None:
     write_csv(path, header, _columns([row], len(header)))
 
 
-def write_report_csv(path, report: Report) -> None:
+def write_report_csv(path, report) -> None:
     rows = [
         (c.name, c.instances, c.max_residual, c.threshold,
          "PASS" if c.passed else "FAIL")

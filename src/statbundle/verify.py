@@ -3,9 +3,11 @@
 Every check draws random instances from a deterministic per-instance
 stream (derived from the run seed, the check index, the size index, and
 the trial index, so results are independent of execution order) and
-reports the worst residual seen.  Exact affine identities are held to
-1e-12, the chart-pipeline reconstruction to 1e-10, and every analytic
-derivative is compared against the central-difference oracle at 1e-6.
+reports the worst residual seen; a NaN residual fails.  Exact affine
+identities are held to 1e-12, the chart-pipeline reconstruction to 1e-10,
+and every analytic derivative is compared against the central-difference
+oracle at 1e-6.  A dual pair of checks (exponential/mixture, or
+exp-decomposition/kl-chain) is one body called with each side's functions.
 
 Enumeration oracles here are written as plain Python loops over outcomes
 on purpose: they must not share code with the array code they check.
@@ -109,8 +111,10 @@ class Report:
         return all(c.passed for c in self.checks)
 
 
-def _maxabs(a) -> float:
-    return float(np.abs(a).max())
+def _maxabs(*diffs) -> float:
+    """The largest |entry| over all ``diffs``; ``np.max`` keeps a NaN, which
+    the builtin ``max`` would drop after its first argument."""
+    return float(np.max([np.abs(d).max() for d in diffs]))
 
 
 def _random_space(rng: np.random.Generator, n: int) -> SampleSpace:
@@ -120,6 +124,12 @@ def _random_space(rng: np.random.Generator, n: int) -> SampleSpace:
 
 def _random_product(rng: np.random.Generator, n1: int, n2: int) -> ProductSpace:
     return ProductSpace(_random_space(rng, n1), _random_space(rng, n2))
+
+
+def _densities(rng: np.random.Generator, n: int, k: int) -> tuple[Density, ...]:
+    """A random space on n outcomes, then k random densities on it."""
+    space = _random_space(rng, n)
+    return tuple(random_density(space, rng) for _ in range(k))
 
 
 def _random_family(
@@ -147,50 +157,30 @@ def _random_family(
 # ---------------------------------------------------------------------------
 
 
-def _check_roundtrip_exp(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, q = random_density(space, rng), random_density(space, rng)
-    return _maxabs(exp_chart_inv(p, exp_chart(p, q)).values - q.values)
-
-
-def _check_roundtrip_mix(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, q = random_density(space, rng), random_density(space, rng)
-    return _maxabs(mix_chart_inv(p, mix_chart(p, q)).values - q.values)
+def _roundtrip(rng, n: int, chart: Callable, chart_inv: Callable) -> float:
+    p, q = _densities(rng, n, 2)
+    return _maxabs(chart_inv(p, chart(p, q)).values - q.values)
 
 
 def _check_transport_identity(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p = random_density(space, rng)
+    (p,) = _densities(rng, n, 1)
     v = random_fiber(p, rng, "exponential")
     w = random_fiber(p, rng, "mixture")
-    return max(
-        _maxabs(e_transport(p, p, v).values - v.values),
-        _maxabs(m_transport(p, p, w).values - w.values),
+    return _maxabs(
+        e_transport(p, p, v).values - v.values,
+        m_transport(p, p, w).values - w.values,
     )
 
 
-def _check_cocycle_e(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, q, r = (random_density(space, rng) for _ in range(3))
-    v = random_fiber(p, rng, "exponential")
-    via_q = e_transport(q, r, e_transport(p, q, v))
-    direct = e_transport(p, r, v)
-    return _maxabs(via_q.values - direct.values)
-
-
-def _check_cocycle_m(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, q, r = (random_density(space, rng) for _ in range(3))
-    w = random_fiber(p, rng, "mixture")
-    via_q = m_transport(q, r, m_transport(p, q, w))
-    direct = m_transport(p, r, w)
-    return _maxabs(via_q.values - direct.values)
+def _cocycle(rng, n: int, transport: Callable, polarity: str) -> float:
+    p, q, r = _densities(rng, n, 3)
+    v = random_fiber(p, rng, polarity)
+    via_q = transport(q, r, transport(p, q, v))
+    return _maxabs(via_q.values - transport(p, r, v).values)
 
 
 def _check_duality(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, q = random_density(space, rng), random_density(space, rng)
+    p, q = _densities(rng, n, 2)
     w = random_fiber(p, rng, "mixture")
     v = random_fiber(q, rng, "exponential")
     lhs = pairing(q, m_transport(p, q, w), v)
@@ -198,35 +188,24 @@ def _check_duality(rng, n: int) -> float:
     return abs(lhs - rhs)
 
 
-def _check_weyl_exp(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, q, r = (random_density(space, rng) for _ in range(3))
-    lhs = exp_chart(p, q).values + e_transport(q, p, exp_chart(q, r)).values
-    return _maxabs(lhs - exp_chart(p, r).values)
-
-
-def _check_weyl_mix(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, q, r = (random_density(space, rng) for _ in range(3))
-    lhs = mix_chart(p, q).values + m_transport(q, p, mix_chart(q, r)).values
-    return _maxabs(lhs - mix_chart(p, r).values)
+def _weyl(rng, n: int, chart: Callable, transport: Callable) -> float:
+    p, q, r = _densities(rng, n, 3)
+    lhs = chart(p, q).values + transport(q, p, chart(q, r)).values
+    return _maxabs(lhs - chart(p, r).values)
 
 
 def _check_structural(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, q = random_density(space, rng), random_density(space, rng)
+    p, q = _densities(rng, n, 2)
     return _maxabs(structural_reconstruct(p, q).values - q.values)
 
 
 def _check_cumulant_kl(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, q = random_density(space, rng), random_density(space, rng)
+    p, q = _densities(rng, n, 2)
     return abs(cumulant(p, exp_chart(p, q)) - kl(p, q))
 
 
 def _check_kl_gradient_fd(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    q, r = random_density(space, rng), random_density(space, rng)
+    q, r = _densities(rng, n, 2)
     qdot = random_fiber(q, rng, "exponential")
     rdot = random_fiber(r, rng, "exponential")
     analytic = kl_curve_derivative(q, qdot, r, rdot)
@@ -236,8 +215,7 @@ def _check_kl_gradient_fd(rng, n: int) -> float:
 
 
 def _check_common_param_fd(rng, n: int) -> float:
-    space = _random_space(rng, n)
-    p, r = random_density(space, rng), random_density(space, rng)
+    p, r = _densities(rng, n, 2)
     d = int(rng.integers(1, 4))
     A = [random_fiber(p, rng).values for _ in range(d)]
     B = [random_fiber(r, rng).values for _ in range(d)]
@@ -273,10 +251,14 @@ def _enum_conditional_expectation(q12: Density, v: FiberVector) -> list[float]:
     return out
 
 
+def _joint_and_velocity(rng, size: tuple[int, int]) -> tuple[Density, FiberVector]:
+    """A random joint on a random product space and a fiber vector at it."""
+    q12 = random_density(_random_product(rng, *size), rng)
+    return q12, random_fiber(q12, rng)
+
+
 def _check_marginal_derivative_enum(rng, size: tuple[int, int]) -> float:
-    space = _random_product(rng, *size)
-    q12 = random_density(space, rng)
-    v = random_fiber(q12, rng)
+    q12, v = _joint_and_velocity(rng, size)
     lib = marginal_derivative(q12, v).values
     oracle = _enum_conditional_expectation(q12, v)
     return _maxabs(lib - np.asarray(oracle))
@@ -297,34 +279,28 @@ def _fd_conditional_derivatives(q12: Density, curve: Callable) -> np.ndarray:
 
 
 def _check_marginal_derivative_fd(rng, size: tuple[int, int]) -> float:
-    space = _random_product(rng, *size)
-    q12 = random_density(space, rng)
-    v = random_fiber(q12, rng)
+    q12, v = _joint_and_velocity(rng, size)
     lib = marginal_derivative(q12, v).values
     return _maxabs(lib - _fd_marginal_derivative(q12, mixture_curve(q12, v)))
 
 
 def _check_conditional_derivative_enum(rng, size: tuple[int, int]) -> float:
-    space = _random_product(rng, *size)
-    q12 = random_density(space, rng)
-    v = random_fiber(q12, rng)
+    q12, v = _joint_and_velocity(rng, size)
     lib = conditional_derivatives(q12, v)
-    mu2 = space.right.weights.tolist()
-    worst = 0.0
+    mu2 = q12.space.right.weights.tolist()
+    rows = []
     for x in range(size[0]):
         qx, vx = q12.values[x].tolist(), v.values[x].tolist()
         den = math.fsum(map(mul, qx, mu2))
         cx = [qz / den for qz in qx]
         mean = math.fsum(map(mul, map(mul, vx, cx), mu2))
         oracle = [vz - mean for vz in vx]
-        worst = max(worst, _maxabs(lib[x] - np.asarray(oracle)))
-    return worst
+        rows.append(_maxabs(lib[x] - np.asarray(oracle)))
+    return _maxabs(rows)
 
 
 def _check_conditional_derivative_fd(rng, size: tuple[int, int]) -> float:
-    space = _random_product(rng, *size)
-    q12 = random_density(space, rng)
-    v = random_fiber(q12, rng)
+    q12, v = _joint_and_velocity(rng, size)
     numeric = _fd_conditional_derivatives(q12, mixture_curve(q12, v))
     return _maxabs(conditional_derivatives(q12, v) - numeric)
 
@@ -346,20 +322,13 @@ def _check_chart_pipeline(rng, size: tuple[int, int]) -> float:
     return _maxabs(moved - conditional_derivatives(q12, v))
 
 
-def _check_exp_decomposition(rng, size: tuple[int, int]) -> float:
+def _split_residual(rng, size: tuple[int, int], split: Callable) -> float:
+    """Residual of exp_decompose or kl_chain on a random joint and reference."""
     space = _random_product(rng, *size)
     q12 = random_density(space, rng)
     p1 = random_density(space.left, rng)
     p2 = random_density(space.right, rng)
-    return exp_decompose(p1, p2, q12).residual
-
-
-def _check_kl_chain(rng, size: tuple[int, int]) -> float:
-    space = _random_product(rng, *size)
-    q12 = random_density(space, rng)
-    p1 = random_density(space.left, rng)
-    p2 = random_density(space.right, rng)
-    return kl_chain(p1, p2, q12).residual
+    return split(p1, p2, q12).residual
 
 
 def _check_psi_kl(rng, size: tuple[int, int]) -> float:
@@ -385,17 +354,13 @@ def _check_velocities_fd(rng, size: tuple[int, int]) -> float:
         return density(family, theta + t * thetadot)
 
     g = member(0.0)
-    worst = _maxabs(
+    return _maxabs(
         joint_velocity(family, theta, thetadot).values
-        - score_velocity(Curve(at=member), 0.0).values
-    )
-    numeric = _fd_marginal_derivative(g, member)
-    worst = max(
-        worst, _maxabs(marginal_velocity(family, theta, thetadot).values - numeric)
-    )
-    numeric = _fd_conditional_derivatives(g, member)
-    return max(
-        worst, _maxabs(conditional_velocities(family, theta, thetadot) - numeric)
+        - score_velocity(Curve(at=member), 0.0).values,
+        marginal_velocity(family, theta, thetadot).values
+        - _fd_marginal_derivative(g, member),
+        conditional_velocities(family, theta, thetadot)
+        - _fd_conditional_derivatives(g, member),
     )
 
 
@@ -412,7 +377,7 @@ def _check_kl_theta_fd(rng, size: tuple[int, int]) -> float:
     left_fd = fd_gradient(lambda th: kl(r1, margin(tuple(th))), theta)
     right = kl_theta_gradient_right(family, theta, r1)
     right_fd = fd_gradient(lambda th: kl(margin(tuple(th)), r1), theta)
-    return max(_maxabs(left - left_fd), _maxabs(right - right_fd))
+    return _maxabs(left - left_fd, right - right_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +393,23 @@ class _Check:
     fn: Callable
 
 
+# The lambdas look the library functions up when a check runs, so a
+# function rebound on this module (a monkeypatch, a tracer) is the one called.
 CHECKS: tuple[_Check, ...] = (
-    _Check("chart-roundtrip-exp", 1e-12, "single", _check_roundtrip_exp),
-    _Check("chart-roundtrip-mix", 1e-12, "single", _check_roundtrip_mix),
+    _Check("chart-roundtrip-exp", 1e-12, "single",
+           lambda rng, n: _roundtrip(rng, n, exp_chart, exp_chart_inv)),
+    _Check("chart-roundtrip-mix", 1e-12, "single",
+           lambda rng, n: _roundtrip(rng, n, mix_chart, mix_chart_inv)),
     _Check("transport-identity", 1e-12, "single", _check_transport_identity),
-    _Check("transport-cocycle-e", 1e-12, "single", _check_cocycle_e),
-    _Check("transport-cocycle-m", 1e-12, "single", _check_cocycle_m),
+    _Check("transport-cocycle-e", 1e-12, "single",
+           lambda rng, n: _cocycle(rng, n, e_transport, "exponential")),
+    _Check("transport-cocycle-m", 1e-12, "single",
+           lambda rng, n: _cocycle(rng, n, m_transport, "mixture")),
     _Check("transport-duality", 1e-12, "single", _check_duality),
-    _Check("weyl-exponential", 1e-12, "single", _check_weyl_exp),
-    _Check("weyl-mixture", 1e-12, "single", _check_weyl_mix),
+    _Check("weyl-exponential", 1e-12, "single",
+           lambda rng, n: _weyl(rng, n, exp_chart, e_transport)),
+    _Check("weyl-mixture", 1e-12, "single",
+           lambda rng, n: _weyl(rng, n, mix_chart, m_transport)),
     _Check("structural-equation", 1e-12, "single", _check_structural),
     _Check("cumulant-kl-link", 1e-12, "single", _check_cumulant_kl),
     _Check("kl-gradient-fd", 1e-6, "single", _check_kl_gradient_fd),
@@ -448,8 +421,10 @@ CHECKS: tuple[_Check, ...] = (
     ),
     _Check("conditional-derivative-fd", 1e-6, "pair", _check_conditional_derivative_fd),
     _Check("conditional-chart-pipeline", 1e-10, "pair", _check_chart_pipeline),
-    _Check("exp-decomposition", 1e-12, "pair", _check_exp_decomposition),
-    _Check("kl-chain", 1e-12, "pair", _check_kl_chain),
+    _Check("exp-decomposition", 1e-12, "pair",
+           lambda rng, size: _split_residual(rng, size, exp_decompose)),
+    _Check("kl-chain", 1e-12, "pair",
+           lambda rng, size: _split_residual(rng, size, kl_chain)),
     _Check("psi-kl-identity", 1e-12, "pair", _check_psi_kl),
     _Check("grad-psi-fd", 1e-6, "pair", _check_grad_psi_fd),
     _Check("expfam-velocities-fd", 1e-6, "pair", _check_velocities_fd),
@@ -476,12 +451,14 @@ def run_verification(
 
     ``trials`` instances are drawn per check and per size entry; single
     -space checks run once per distinct outcome count appearing in
-    ``sizes``, each factor of which needs at least 2 outcomes.  ``slack``,
+    ``sizes``, each factor of which needs at least 2 outcomes.  A NaN
+    residual makes its check's ``max_residual`` NaN, a FAIL.  ``slack``,
     positive and finite, scales every threshold (handy for exploratory
-    runs; the defaults are the contractual tolerances).  An empty
-    ``names``, or one naming no check, raises :class:`StatBundleError`
-    rather than passing vacuously.  ``seed``, ``trials`` and the entries
-    of each size pair must be integers, numpy integers included.
+    runs; the defaults are the contractual tolerances).  An empty ``names``,
+    one naming no check, or a string ``names`` or ``sizes`` (read character
+    by character otherwise) raises :class:`StatBundleError`.  ``seed``,
+    ``trials`` and the entries of each size pair must be integers, numpy
+    integers included.
     """
     seed = _as_int(seed, "seed")
     if seed < 0:
@@ -491,6 +468,9 @@ def run_verification(
         raise StatBundleError("trials must be at least 1")
     if not 0.0 < slack < math.inf:
         raise StatBundleError("tolerance slack must be positive and finite")
+    for arg, value in (("sizes", sizes), ("names", names)):
+        if isinstance(value, str):
+            raise StatBundleError(f"{arg} must be a sequence, not the string {value!r}")
     sizes = tuple(map(_size, sizes))
     if not sizes:
         raise StatBundleError("at least one size is required")
@@ -511,16 +491,16 @@ def run_verification(
     for ci, check in enumerate(CHECKS):
         if names is not None and check.name not in names:
             continue
-        domain_sizes = singles if check.domain == "single" else list(sizes)
-        worst = 0.0
-        count = 0
-        for si, size in enumerate(domain_sizes):
-            for trial in range(trials):
-                rng = np.random.default_rng([seed, ci, si, trial])
-                worst = max(worst, check.fn(rng, size))
-                count += 1
+        domain_sizes = singles if check.domain == "single" else sizes
+        residuals = [
+            check.fn(np.random.default_rng([seed, ci, si, trial]), size)
+            for si, size in enumerate(domain_sizes)
+            for trial in range(trials)
+        ]
         results.append(
-            CheckResult(check.name, count, worst, check.threshold * slack)
+            CheckResult(
+                check.name, len(residuals), _maxabs(residuals), check.threshold * slack
+            )
         )
     return Report(
         checks=results,

@@ -119,6 +119,27 @@ class TestSlotGradients:
         np.testing.assert_allclose(got.values, expected, atol=1e-15)
         np.testing.assert_allclose(got.values, [-1.0, 0.428571], atol=1e-6)
 
+    def test_equal_to_the_negated_charts(self):
+        # built without the charts, from the same operations up to sign
+        space = sb.make_space([0.5, 1.0, 0.8, 1.7])
+        for seed in range(0, 40, 2):
+            q, r = sb.random_density(space, seed), sb.random_density(space, seed + 1)
+            np.testing.assert_array_equal(
+                sb.grad1_kl(q, r).values, -sb.exp_chart(q, r).values
+            )
+            np.testing.assert_array_equal(
+                sb.grad2_kl(q, r).values, -sb.mix_chart(r, q).values
+            )
+
+    def test_space_mismatch(self, two_point):
+        # same shape, other weights: only the space check can tell
+        _, _, q, _ = two_point
+        other = sb.random_density(sb.make_space([1.0, 2.0]), 0)
+        for grad in (sb.grad1_kl, sb.grad2_kl):
+            for a, b in ((q, other), (other, q)):
+                with pytest.raises(sb.MismatchError):
+                    grad(a, b)
+
     def test_grad1_matches_frozen_slot_fd(self):
         space = sb.make_space([0.5, 1.0, 0.8])
         q = sb.random_density(space, 30)

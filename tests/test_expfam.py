@@ -146,7 +146,23 @@ class TestGradPsi:
                                            atol=1e-6)
 
 
+    def test_parameter_shape(self, margin_family):
+        with pytest.raises(sb.MismatchError, match="parameter shape"):
+            sb.grad_psi(margin_family, [1.0, 2.0])
+
+
 class TestVelocities:
+    @pytest.mark.parametrize(
+        "velocity",
+        [sb.joint_velocity, sb.marginal_velocity, sb.conditional_velocities],
+    )
+    def test_theta_checked_before_thetadot(self, margin_family, velocity):
+        for theta, thetadot in (([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0])):
+            with pytest.raises(sb.MismatchError, match="parameter shape"):
+                velocity(margin_family, theta, thetadot)
+        with pytest.raises(sb.MismatchError, match="parameter shape"):
+            velocity(margin_family, [1.0, 2.0], [math.inf])
+
     def test_zero_direction(self, diag_family):
         v = sb.joint_velocity(diag_family, [0.5], [0.0])
         np.testing.assert_array_equal(v.values, 0.0)
@@ -274,6 +290,18 @@ class TestVelocities:
 
 
 class TestParameterGradients:
+    @pytest.mark.parametrize(
+        "gradient", [sb.kl_theta_gradient_left, sb.kl_theta_gradient_right]
+    )
+    def test_theta_checked_before_margin(self, margin_family, gradient):
+        r1 = sb.uniform_density(margin_family.space.left)
+        other = sb.uniform_density(sb.make_space([1.0, 1.0, 1.0]))
+        with pytest.raises(sb.MismatchError, match="target margin"):
+            gradient(margin_family, [1.0], other)
+        for target in (r1, other):
+            with pytest.raises(sb.MismatchError, match="parameter shape"):
+                gradient(margin_family, [1.0, 2.0], target)
+
     def test_left_gradient_vanishes_for_flat_margin(self, diag_family):
         r1 = sb.uniform_density(diag_family.space.left)
         for theta in (0.0, 0.7, -1.2):

@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,94 @@ def test_sizes_below_two_rejected_up_front(monkeypatch, sizes):
     with pytest.raises(sb.StatBundleError, match="at least 2 outcomes per factor"):
         run_verification(trials=1, sizes=sizes)
     assert ran == []
+
+
+@pytest.mark.parametrize(
+    "arg, value", [("names", "kl-chain"), ("sizes", "2x2"), ("sizes", "22")]
+)
+def test_string_argument_is_rejected_whole(arg, value):
+    # A string used to be read character by character: "unknown check
+    # names: -, a, c, ..." or "size '2' is not a pair of integers".
+    with pytest.raises(sb.StatBundleError, match=f"{arg} must be a sequence") as info:
+        run_verification(trials=1, **{arg: value})
+    assert repr(value) in str(info.value)
+
+
+def test_nan_residual_fails_the_check(monkeypatch):
+    residuals = iter([0.1, float("nan"), 0.2])
+
+    def probe(rng, size):
+        return next(residuals)
+
+    monkeypatch.setattr(verify, "CHECKS", (verify._Check("probe", 1.0, "pair", probe),))
+    report = run_verification(trials=3, sizes=[(2, 2)])
+    (check,) = report.checks
+    assert check.instances == 3
+    assert math.isnan(check.max_residual)
+    assert not check.passed and not report.overall
+    assert "FAIL" in format_report(report)
+
+
+def _nan_fiber(*args):
+    """A stand-in transport whose result is all NaN."""
+    return SimpleNamespace(values=np.full_like(args[-1].values, np.nan))
+
+
+def _nan_last_row(q12, v):
+    """The true conditional derivatives with NaN in the last row only."""
+    table = sb.conditional_derivatives(q12, v).copy()
+    table[-1] = np.nan
+    return table
+
+
+# Each check combines several residuals per instance; a NaN in the last
+# part used to be dropped by the builtin max and the check passed.
+@pytest.mark.parametrize(
+    "name, attr, fake",
+    [
+        ("kl-theta-gradients-fd", "kl_theta_gradient_right",
+         lambda family, theta, r1: np.full(family.dim, np.nan)),
+        ("transport-identity", "m_transport", _nan_fiber),
+        ("expfam-velocities-fd", "conditional_velocities",
+         lambda family, theta, thetadot: np.full(family.space.shape, np.nan)),
+        ("conditional-derivative-enum", "conditional_derivatives", _nan_last_row),
+    ],
+    ids=["kl-theta", "transport-identity", "velocities", "conditional-enum"],
+)
+def test_nan_in_one_part_of_a_residual_fails(monkeypatch, name, attr, fake):
+    monkeypatch.setattr(verify, attr, fake)
+    report = run_verification(seed=5, trials=2, sizes=[(3, 4)], names=[name])
+    (check,) = report.checks
+    assert math.isnan(check.max_residual)
+    assert not report.overall
+
+
+def _shifted_transport(p, q, w):
+    return sb.FiberVector(q, 2.0 * sb.m_transport(p, q, w).values, w.polarity)
+
+
+# The dual twins share one body each; the registry must still hand each
+# twin its own functions, looked up on the module when the check runs.
+@pytest.mark.parametrize(
+    "attr, fake, broken",
+    [
+        ("mix_chart_inv", lambda p, w: p, {"chart-roundtrip-mix"}),
+        ("m_transport", _shifted_transport, {"transport-cocycle-m", "weyl-mixture"}),
+        ("kl_chain", lambda p1, p2, q12: SimpleNamespace(residual=1.0), {"kl-chain"}),
+    ],
+    ids=["mix_chart_inv", "m_transport", "kl_chain"],
+)
+def test_each_twin_calls_its_own_functions(monkeypatch, attr, fake, broken):
+    twins = [
+        "chart-roundtrip-exp", "chart-roundtrip-mix",
+        "transport-cocycle-e", "transport-cocycle-m",
+        "weyl-exponential", "weyl-mixture",
+        "exp-decomposition", "kl-chain",
+    ]
+    monkeypatch.setattr(verify, attr, fake)
+    report = run_verification(seed=5, trials=2, sizes=[(2, 3)], names=twins)
+    assert [c.name for c in report.checks] == twins
+    assert {c.name for c in report.checks if not c.passed} == broken
 
 
 def test_format_report_table():
