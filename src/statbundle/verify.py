@@ -112,9 +112,9 @@ class Report:
 
 
 def _maxabs(*diffs) -> float:
-    """The largest |entry| over all ``diffs``; ``np.max`` keeps a NaN, which
-    the builtin ``max`` would drop after its first argument."""
-    return float(np.max([np.abs(d).max() for d in diffs]))
+    """The largest |entry| over all ``diffs``; ``np.maximum`` keeps a NaN,
+    which the builtin ``max`` would drop after its first argument."""
+    return float(functools.reduce(np.maximum, [np.abs(d).max() for d in diffs]))
 
 
 def _random_space(rng: np.random.Generator, n: int) -> SampleSpace:
