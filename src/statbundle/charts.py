@@ -24,6 +24,7 @@ from .core import (
     Density,
     FiberVector,
     NormalizationError,
+    POSITIVITY_FLOOR,
     StatBundleError,
     _coord_label,
     _require_same_base,
@@ -33,6 +34,8 @@ from .core import (
 from .findiff import fd_vector_curve
 
 INVERSE_CHART_DRIFT_LIMIT = 1e-10
+_TINY = float(np.finfo(float).tiny)
+_LOG_TINY = math.log(_TINY)
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,24 @@ def exp_chart(p: Density, q: Density) -> FiberVector:
 def exp_chart_inv(p: Density, v: FiberVector) -> Density:
     """Inverse exponential chart: exp(v - K_p(v)) * p.
 
-    The cumulant normalizes exactly in real arithmetic; residual float
-    drift is divided out, and drift beyond 1e-10 is rejected as a bug.
+    One exponential: e = exp(v - max v) * p divided by its own mass
+    sum(e * mu), which is exp(K_p(v) - max v) in real arithmetic.  Where
+    that could lose an entry -- exp(v - max v) underflows, or the mass is
+    so small that an entry of e below the normal float range could still
+    normalise above the positivity floor -- the cumulant is subtracted
+    before the exponential, as the formula reads.  On that path the
+    cumulant normalizes exactly in real arithmetic; residual float drift
+    is divided out, and drift beyond 1e-10 is rejected as a bug.
     """
     _require_same_base(v, p)
+    weights = p.space.weights.ravel()
+    shifted = v.values - v.values.max()
+    vals = np.exp(shifted) * p.values
+    mass = float(np.dot(vals.ravel(), weights))
+    if shifted.min() > _LOG_TINY and mass * POSITIVITY_FLOOR >= _TINY:
+        return Density(p.space, vals / mass)
     vals = np.exp(v.values - cumulant(p, v)) * p.values
-    mass = float(np.dot(vals.ravel(), p.space.weights.ravel()))
+    mass = float(np.dot(vals.ravel(), weights))
     if abs(mass - 1.0) > INVERSE_CHART_DRIFT_LIMIT:
         raise NormalizationError(
             f"inverse-chart drift {abs(mass - 1.0):.3e} exceeds "

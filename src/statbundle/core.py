@@ -50,8 +50,33 @@ class MismatchError(StatBundleError):
     """Operands live on different spaces or at different base densities."""
 
 
+_FLOAT = np.dtype(float)
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; only integer and float arrays qualify.
+
+    ``np.asarray(..., dtype=float)`` alone would read the string ``"0.5"``
+    as 0.5 and ``True`` as 1.0, and raise a bare ``ValueError`` on other
+    strings.  Strings, bytes, booleans, complex numbers and Python objects
+    are rejected by their dtype alone, without a pass over the values, and
+    a float array is returned as it is.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise StatBundleError(f"{name} is not a rectangular array") from None
+    if arr.dtype is not _FLOAT:
+        if arr.dtype.kind not in "iuf":
+            raise StatBundleError(
+                f"{name} must hold integers or floats, not {arr.dtype}"
+            )
+        arr = arr.astype(float)
+    return arr
+
+
 def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = _float_array(values, name)
     if not np.isfinite(arr).all():
         raise StatBundleError(f"{name} contains a non-finite entry")
     return arr
@@ -291,7 +316,7 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _float_array(self.values, "density values")
         if vals.shape != self.space.weights.shape:
             raise MismatchError(
                 f"density shape {vals.shape} does not match space shape "
@@ -335,7 +360,7 @@ class FiberVector:
     polarity: Polarity = "exponential"
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _float_array(self.values, "fiber values")
         if vals.shape != self.base.values.shape:
             raise MismatchError(
                 f"fiber shape {vals.shape} does not match base shape "
@@ -368,12 +393,12 @@ def _require_same_base(v: FiberVector, q: Density) -> None:
 
 def make_space(weights) -> SampleSpace:
     """Build a sample space from positive reference weights (stored verbatim)."""
-    return SampleSpace(np.asarray(weights, dtype=float))
+    return SampleSpace(weights)
 
 
 def make_density(space: Space, values) -> Density:
     """Build a density on ``space``, applying the normalization-drift policy."""
-    return Density(space, np.asarray(values, dtype=float))
+    return Density(space, values)
 
 
 def uniform_density(space: Space) -> Density:

@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import _float_array
+
 STEP = 1e-5
 
 
@@ -24,7 +26,7 @@ def fd_scalar(fn: Callable[[float], float], t: float) -> float:
 
 def fd_gradient(fn: Callable[[np.ndarray], float], theta) -> np.ndarray:
     """Coordinatewise central-difference gradient of a scalar function."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta = np.atleast_1d(_float_array(theta, "theta"))
     out = np.empty(theta.size)
     for j in range(theta.size):
         def section(t: float, j=j) -> float:

@@ -77,6 +77,98 @@ class TestExpChart:
         np.testing.assert_allclose(sb.exp_chart_inv(p, v).values, [1.2, 0.8],
                                    atol=1e-15)
 
+    def test_inverse_at_zero_seeded(self):
+        # exp(0) * p is p exactly; dividing by its float mass, which is 1 to
+        # rounding, returns p itself wherever that mass is exactly 1
+        exact = 0
+        for n in (2, 3, 5, 17, 200):
+            space = sb.make_space(np.linspace(0.2, 1.4, n))
+            for seed in range(10):
+                p = sb.random_density(space, [n, seed, 2])
+                got = sb.exp_chart_inv(p, sb.FiberVector(p, np.zeros(n))).values
+                mass = np.dot(p.values, space.weights)
+                np.testing.assert_array_equal(got, p.values / mass)
+                exact += mass == 1.0 and np.array_equal(got, p.values)
+        assert exact > 0
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+    def test_inverse_agrees_with_the_cumulant_formula(self, scale):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng([17, int(scale)])
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            space = sb.make_space(rng.uniform(0.2, 2.0, n))
+            p = sb.random_density(space, rng)
+            v = sb.center(p, scale * rng.standard_normal(n))
+            ref = np.exp(v.values - sb.cumulant(p, v)) * p.values
+            ref /= np.dot(ref, space.weights)
+            got = sb.exp_chart_inv(p, v).values
+            bound = 8 * eps * (1.0 + np.abs(v.values).max())
+            assert np.max(np.abs(got - ref) / ref) <= bound
+
+
+def _lossy_inputs():
+    """Inverse-chart inputs whose one-exponential form loses an entry.
+
+    ``spread``: exp(v - max v) underflows to 0 at the second entry.
+    ``subnormal``: exp(v - max v) = exp(-720) is subnormal and keeps only
+    about 36 bits, which p = 1e20 scales back into the normal range;
+    exp(v - K_p(v)) = exp(-704) is a normal float.
+    ``small-mass``: every exp(v - max v) is a normal float, but e = exp(v -
+    max v) * p falls below the normal range at the second entry while the
+    mass of e is about 1e-100, so that entry normalises to about 1e-237.
+    """
+    two = sb.make_density(sb.make_space([1.0, 1.0]), [1e-200, 1.0])
+    heavy = sb.make_density(sb.make_space([1.0, 1e-20]), [1e-7, (1 - 1e-7) * 1e20])
+    three = sb.make_density(sb.make_space([1.0, 1.0, 1.0]), [1e-100, 1e-250, 1.0])
+    return {
+        "spread": (two, sb.FiberVector(two, [1000.0, -1e-197]),
+                   [1.0, 5.0759588975494574e-235]),
+        "subnormal": (heavy, sb.center(heavy, [720.0, 0.0]),
+                      [1.0, 2.0322305992012135e-286]),
+        "small-mass": (three, sb.center(three, [700.0, 500.0, 0.0]),
+                       [1.0, 1.3838965267367375e-237, 9.85967654375977e-205]),
+    }
+
+
+class TestExpChartInvFallback:
+    """Where one exponential would lose an entry, the inverse chart
+    subtracts the cumulant first, as the chart's formula reads."""
+
+    @pytest.mark.parametrize("case", ["spread", "subnormal", "small-mass"])
+    def test_keeps_the_entries_of_the_cumulant_formula(self, case):
+        p, v, expected = _lossy_inputs()[case]
+        np.testing.assert_array_equal(sb.exp_chart_inv(p, v).values, expected)
+
+    def test_drift_is_rejected_on_the_fallback(self, monkeypatch):
+        p, v, _ = _lossy_inputs()["spread"]
+        exact = sb.charts.cumulant
+        monkeypatch.setattr(sb.charts, "cumulant", lambda q, u: exact(q, u) + 1e-9)
+        with pytest.raises(sb.NormalizationError, match="inverse-chart drift"):
+            sb.exp_chart_inv(p, v)
+
+    def test_cumulant_is_called_only_on_the_fallback(self, monkeypatch, diag_family):
+        calls = []
+        exact = sb.charts.cumulant
+
+        def counting(q, u):
+            calls.append(1)
+            return exact(q, u)
+
+        monkeypatch.setattr(sb.charts, "cumulant", counting)
+        sb.density(diag_family, [0.7])
+        space = sb.ProductSpace(sb.make_space(np.linspace(0.4, 1.2, 6)),
+                                sb.make_space(np.linspace(0.5, 1.5, 5)))
+        family = sb.make_expfam(
+            sb.random_density(space.left, 1), sb.random_density(space.right, 2),
+            np.random.default_rng(3).standard_normal((2, 6, 5)),
+        )
+        sb.density(family, [1.5, -2.0])
+        assert calls == []
+        p, v, _ = _lossy_inputs()["spread"]
+        sb.exp_chart_inv(p, v)
+        assert len(calls) == 1
+
 
 class TestMixChart:
     def test_center_maps_to_zero(self, two_point):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import statbundle as sb
+from statbundle import findiff
 from statbundle.core import _density_rows, _fiber_rows, _row_masses
 
 
@@ -565,6 +568,52 @@ def test_table_rules_name_the_reference_rule(block):
 def test_malformed_input_is_rejected(two_point, call, error, match):
     with pytest.raises(error, match=match):
         call(two_point[2])
+
+
+NON_NUMERIC = {
+    "strings": ["1.2", "0.8"],
+    "bytes": [b"1.2", b"0.8"],
+    "objects": [Fraction(6, 5), Fraction(4, 5)],
+    "booleans": [True, True],
+    "complex": [1.2 + 0j, 0.8 + 0j],
+}
+ENTRY_POINTS = {
+    "make_space": (lambda q, bad: sb.make_space(bad), "weights"),
+    "make_density": (lambda q, bad: sb.make_density(q.space, bad), "density values"),
+    "Density": (lambda q, bad: sb.Density(q.space, bad), "density values"),
+    "FiberVector": (lambda q, bad: sb.FiberVector(q, bad), "fiber values"),
+    "center": (lambda q, bad: sb.center(q, bad), "values"),
+    "expect": (lambda q, bad: sb.expect(q, bad), "integrand"),
+    "psi": (lambda q, bad: sb.psi(sb.make_expfam(q, q, [[[1.0, -1.0], [-1.0, 1.0]]]),
+                                  bad), "theta"),
+    "fd_gradient": (lambda q, bad: findiff.fd_gradient(lambda t: 0.0, bad), "theta"),
+}
+
+
+@pytest.mark.parametrize("kind", NON_NUMERIC)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_non_numeric_arrays_are_rejected(two_point, entry, kind):
+    # np.asarray(..., dtype=float) reads "1.2" as 1.2 and True as 1.0
+    call, name = ENTRY_POINTS[entry]
+    with pytest.raises(sb.StatBundleError,
+                       match=f"^{name} must hold integers or floats, not"):
+        call(two_point[2], NON_NUMERIC[kind])
+
+
+def test_malformed_values_raise_the_package_error(half_space):
+    with pytest.raises(sb.StatBundleError, match="density values must hold"):
+        sb.make_density(half_space, "x")
+    with pytest.raises(sb.StatBundleError, match="weights is not a rectangular"):
+        sb.make_space([[0.5, 0.5], [0.5]])
+
+
+def test_integer_and_float_kinds_are_accepted(half_space):
+    for values in ([1, 1], np.array([1, 1], dtype=np.uint8),
+                   np.array([1.5, 0.5], dtype=np.float32)):
+        got = sb.make_density(half_space, values)
+        assert got.values.dtype == np.float64
+        np.testing.assert_array_equal(got.values, np.asarray(values, dtype=float))
+    assert sb.make_space(np.array([1, 2], dtype=np.int16)).weights.dtype == np.float64
 
 
 class TestRandomDensity:

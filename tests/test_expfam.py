@@ -584,3 +584,31 @@ class TestFlow:
         trials = sum(rec.halvings + 1 for rec in trace.records[1:])
         assert trials > len(trace.records) - 1
         assert len(calls) == trials + 1
+
+    # (stop reason, final iteration, total halvings) of each flow from
+    # theta0 = (2, -2) towards a random margin.  Rounding changes in the
+    # member leave these alone; a change that moves one changes how the
+    # flow behaves.  Seed 1 keeps halving until it reaches its cap.
+    TRAJECTORIES = {
+        0: (("converged", 27, 2), ("converged", 21, 0)),
+        1: (("iteration_cap", 100, 305), ("iteration_cap", 100, 285)),
+        2: (("converged", 42, 5), ("converged", 29, 0)),
+        3: (("converged", 26, 4), ("converged", 33, 0)),
+        4: (("converged", 30, 10), ("converged", 30, 0)),
+        5: (("converged", 29, 1), ("converged", 33, 0)),
+        6: (("converged", 35, 1), ("converged", 27, 0)),
+        7: (("converged", 39, 0), ("converged", 18, 0)),
+        8: (("converged", 21, 0), ("converged", 28, 0)),
+        9: (("converged", 26, 1), ("converged", 21, 0)),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(TRAJECTORIES))
+    def test_trajectories_are_pinned(self, seed):
+        fam = random_family(6, 5, 2, seed)
+        target = sb.random_density(fam.space.left, [seed, 3])
+        for mode, expected in zip(("left", "right"), self.TRAJECTORIES[seed]):
+            trace = sb.natural_gradient_flow(
+                fam, [2.0, -2.0], target, mode=mode, step=0.5, tol=1e-7
+            )
+            halvings = sum(rec.halvings for rec in trace.records)
+            assert (trace.stop_reason, trace.final.iteration, halvings) == expected
