@@ -42,6 +42,7 @@ from .core import (
     _density_rows,
     _expect,
     _fiber_rows,
+    _frozen,
     _require_same_base,
     _row_masses,
     product_density,
@@ -59,20 +60,21 @@ def _joint_space(q12: Density) -> ProductSpace:
 def marginalize(q12: Density) -> Density:
     """First margin q1(x) = sum_z q12(x, z) mu2(z)."""
     space = _joint_space(q12)
-    return Density(space.left, q12.values @ space.right.weights)
+    return Density(space.left, _frozen(q12.values @ space.right.weights))
 
 
 def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
     """Derivative of marginalization at q12: the conditional expectation.
 
-    Returns x -> E_q[v | X = x]; its zero q1-expectation is the tower
-    property and is re-validated by the fiber constructor.
+    Returns x -> E_q[v | X = x], a fiber vector at the margin q1 that it
+    divides by; its zero q1-expectation is the tower property and is
+    re-validated by the fiber constructor.
     """
     space = _joint_space(q12)
     _require_same_base(v, q12)
-    weighted = q12.values * space.right.weights
-    vals = (v.values * weighted).sum(axis=1) / weighted.sum(axis=1)
-    return FiberVector(marginalize(q12), vals, v.polarity)
+    q1 = marginalize(q12)
+    vals = (v.values * (q12.values * space.right.weights)).sum(axis=1) / q1.values
+    return FiberVector(q1, _frozen(vals), v.polarity)
 
 
 def _centred_rows(rows: np.ndarray, cond: np.ndarray, mu2: np.ndarray) -> np.ndarray:

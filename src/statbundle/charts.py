@@ -27,6 +27,7 @@ from .core import (
     POSITIVITY_FLOOR,
     StatBundleError,
     _coord_label,
+    _frozen,
     _require_same_base,
     _require_same_space,
     center,
@@ -61,13 +62,17 @@ class Curve:
 def cumulant(p: Density, u: FiberVector) -> float:
     """K_p(u) = log E_p[exp(u)], max-shift stabilized.
 
-    Nonnegative, zero exactly at u = 0 (strict convexity of exp).
+    Nonnegative, zero exactly at u = 0 (strict convexity of exp).  A
+    spread of u beyond the float range takes u - max u to -inf, whose
+    exponential is 0, so the result is finite.
     """
     _require_same_base(u, p)
     vals = u.values.ravel()
     w = (p.values * p.space.weights).ravel()
     m = float(vals.max())
-    s = float((w * np.exp(vals - m)).sum())
+    with np.errstate(over="ignore"):
+        shifted = vals - m
+    s = float((w * np.exp(shifted)).sum())
     # Dividing by sum(w) rather than 1 pins cumulant(p, 0) == 0 exactly,
     # even when the weights only sum to 1 up to float round-off.
     return float(m + np.log(s) - np.log(float(w.sum())))
@@ -90,29 +95,44 @@ def exp_chart_inv(p: Density, v: FiberVector) -> Density:
     normalise above the positivity floor -- the cumulant is subtracted
     before the exponential, as the formula reads.  On that path the
     cumulant normalizes exactly in real arithmetic; residual float drift
-    is divided out, and drift beyond 1e-10 is rejected as a bug.
+    is divided out, and drift beyond 1e-10 is rejected as a bug.  An entry
+    that leaves the model, as where a spread of v beyond the float range
+    takes v - K to -inf, raises the :class:`BoundaryError` of
+    :class:`Density` first.  Each path computes in one array, which the
+    member adopts.
     """
     _require_same_base(v, p)
     weights = p.space.weights.ravel()
-    shifted = v.values - v.values.max()
-    vals = np.exp(shifted) * p.values
+    top = v.values.max()
+    # min(v - max v), as Python floats: -inf, silently, for a spread beyond
+    # the float range, which the fallback turns into a BoundaryError.
+    if float(v.values.min()) - float(top) > _LOG_TINY:
+        vals = v.values - top
+        np.exp(vals, out=vals)
+        vals *= p.values
+        mass = float(np.dot(vals.ravel(), weights))
+        if mass * POSITIVITY_FLOOR >= _TINY:
+            vals /= mass
+            return Density(p.space, _frozen(vals))
+    with np.errstate(over="ignore"):
+        vals = v.values - cumulant(p, v)
+    np.exp(vals, out=vals)
+    vals *= p.values
     mass = float(np.dot(vals.ravel(), weights))
-    if shifted.min() > _LOG_TINY and mass * POSITIVITY_FLOOR >= _TINY:
-        return Density(p.space, vals / mass)
-    vals = np.exp(v.values - cumulant(p, v)) * p.values
-    mass = float(np.dot(vals.ravel(), weights))
+    vals /= mass
+    member = Density(p.space, _frozen(vals))
     if abs(mass - 1.0) > INVERSE_CHART_DRIFT_LIMIT:
         raise NormalizationError(
             f"inverse-chart drift {abs(mass - 1.0):.3e} exceeds "
             f"{INVERSE_CHART_DRIFT_LIMIT:.0e}"
         )
-    return Density(p.space, vals / mass)
+    return member
 
 
 def mix_chart(p: Density, q: Density) -> FiberVector:
     """Mixture chart centered at p: q/p - 1 (zero p-expectation exactly)."""
     _require_same_space(p.space, q.space)
-    return FiberVector(p, q.values / p.values - 1.0, "mixture")
+    return FiberVector(p, _frozen(q.values / p.values - 1.0), "mixture")
 
 
 def mix_chart_inv(p: Density, w: FiberVector) -> Density:
@@ -131,7 +151,8 @@ def mix_chart_inv(p: Density, w: FiberVector) -> Density:
             f"mixture chart image leaves the model: 1 + w = {flat[i]!r} "
             f"at index {_coord_label(scaled.shape, i)}"
         )
-    return Density(p.space, scaled * p.values)
+    scaled *= p.values
+    return Density(p.space, _frozen(scaled))
 
 
 def e_transport(p: Density, q: Density, v: FiberVector) -> FiberVector:
@@ -145,7 +166,7 @@ def m_transport(p: Density, q: Density, w: FiberVector) -> FiberVector:
     """Mixture transport from p to q: (p/q) * w."""
     _require_same_base(w, p)
     _require_same_space(p.space, q.space)
-    return FiberVector(q, p.values / q.values * w.values, w.polarity)
+    return FiberVector(q, _frozen(p.values / q.values * w.values), w.polarity)
 
 
 def score_velocity(curve: Curve, t: float) -> FiberVector:

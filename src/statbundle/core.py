@@ -96,10 +96,40 @@ def _coord_label(shape: tuple[int, ...], flat_index: int) -> str:
     return str(tuple(int(i) for i in np.unravel_index(flat_index, shape)))
 
 
+def _adoptable(arr: np.ndarray) -> bool:
+    """True if ``arr`` can be kept as it is: float64, C-contiguous and
+    read-only, and so is every array on its ``.base`` chain, down to the one
+    that owns the memory.  A read-only view of a writeable array fails, and
+    so does an array over any other buffer."""
+    flags = arr.flags
+    if flags.writeable or not flags.c_contiguous or arr.dtype != _FLOAT:
+        return False
+    base = arr.base
+    while base is not None:
+        if type(base) is not np.ndarray or base.flags.writeable:
+            return False
+        base = base.base
+    return True
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself if it can be adopted, else a read-only float64 copy."""
+    if _adoptable(arr):
+        return arr
     out = np.array(arr, dtype=float, order="C")
     out.flags.writeable = False
     return out
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a fresh array, and every array it views, read-only, so that a
+    constructor adopts it instead of copying it.  Only for arrays that the
+    library has just made and no caller holds."""
+    base = arr
+    while base is not None:
+        base.setflags(write=False)
+        base = base.base
+    return arr
 
 
 def _centring_bound(vals, q, mu, floor=1.0):
@@ -182,15 +212,15 @@ def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarra
     """Check each row of a fresh (k, n) block as a fiber vector.
 
     Row x is checked at the density ``base[x]``, or at ``base`` itself when
-    it is a single density.  These are the rules of :class:`FiberVector`,
-    which checks its values as a one-row block: finite entries and a
-    centring residual within the scaled tolerance.  Returns the block
-    read-only.
+    it is a single density, against the 1-d weights ``mu``.  These are the
+    rules of :class:`FiberVector`, which checks its values as a one-row
+    block: finite entries and a centring residual within the scaled
+    tolerance.  Returns the block read-only.
     """
     # The passing path in one test: a non-finite entry makes its row's
     # residual NaN or infinite, which fails it.  Anything else takes the
     # checks below, in their order.
-    residual = np.abs((rows * base * mu).sum(axis=1))
+    residual = np.abs(_row_masses(rows * base, mu))
     if residual.max() <= FIBER_ATOL:
         rows.flags.writeable = False
         return rows
@@ -267,8 +297,14 @@ class ProductSpace:
     right: SampleSpace
 
     def __post_init__(self):
+        for factor in (self.left, self.right):
+            if not isinstance(factor, SampleSpace):
+                raise MismatchError(
+                    "the factors of a product space must be sample spaces, "
+                    f"not {type(factor).__name__}"
+                )
         object.__setattr__(
-            self, "_weights", _freeze(np.outer(self.left.weights, self.right.weights))
+            self, "_weights", _frozen(np.outer(self.left.weights, self.right.weights))
         )
 
     @property
@@ -310,6 +346,12 @@ class Density:
     within ``1e-12`` of one.  Mass drift between ``1e-12`` and ``1e-6`` is
     silently renormalized (float drift from upstream arithmetic); anything
     larger is rejected as a caller bug.
+
+    The stored ``values`` are read-only.  A float64, C-contiguous, read-only
+    array whose ``.base`` chain is read-only too is adopted as it is and
+    shares its memory; any other array, a writeable one or a read-only view
+    of a writeable one included, is copied, so that later writes to it do
+    not reach the density.
     """
 
     space: Space
@@ -322,10 +364,11 @@ class Density:
                 f"density shape {vals.shape} does not match space shape "
                 f"{self.space.weights.shape}"
             )
-        checked = _density_rows(
-            self.space.weights.ravel(), vals.reshape(1, -1), vals.shape
-        )
-        object.__setattr__(self, "values", _freeze(checked.reshape(vals.shape)))
+        rows = vals.reshape(1, -1)
+        checked = _density_rows(self.space.weights.ravel(), rows, vals.shape)
+        # The checked block is a view of vals unless it was renormalised.
+        kept = vals if checked is rows else checked.reshape(vals.shape)
+        object.__setattr__(self, "values", _freeze(kept))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -353,6 +396,8 @@ class FiberVector:
     The centring residual ``|E_q[v]|`` must be within ``1e-12``, scaled by
     ``max(1, E_q[|v|])`` so that vectors of large magnitude, centred to
     working precision, are accepted.
+
+    ``values`` are copied or adopted by the rule of :class:`Density`.
     """
 
     base: Density
@@ -368,11 +413,9 @@ class FiberVector:
             )
         if self.polarity not in _POLARITIES:
             raise StatBundleError(f"unknown polarity {self.polarity!r}")
-        # All three operands one-row blocks of the same shape, so numpy can
-        # reuse the product's temporary instead of allocating another.
         _fiber_rows(
             self.base.values.reshape(1, -1),
-            self.base.space.weights.reshape(1, -1),
+            self.base.space.weights.ravel(),
             vals.reshape(1, -1),
         )
         object.__setattr__(self, "values", _freeze(vals))
@@ -404,7 +447,7 @@ def make_density(space: Space, values) -> Density:
 def uniform_density(space: Space) -> Density:
     """The constant density 1 / sum(mu)."""
     w = space.weights
-    return Density(space, np.full(w.shape, 1.0 / float(w.sum())))
+    return Density(space, _frozen(np.full(w.shape, 1.0 / float(w.sum()))))
 
 
 def product_density(p1: Density, p2: Density) -> Density:
@@ -412,7 +455,7 @@ def product_density(p1: Density, p2: Density) -> Density:
     if isinstance(p1.space, ProductSpace) or isinstance(p2.space, ProductSpace):
         raise MismatchError("product_density expects densities on factor spaces")
     space = ProductSpace(p1.space, p2.space)
-    return Density(space, np.outer(p1.values, p2.values))
+    return Density(space, _frozen(np.outer(p1.values, p2.values)))
 
 
 def _expect(q: Density, arr: np.ndarray) -> float:
@@ -450,12 +493,12 @@ def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:
         raise MismatchError(
             f"shape {arr.shape} does not match density shape {q.values.shape}"
         )
-    centred = arr - _expect(q, arr)
+    centred = _frozen(arr - _expect(q, arr))
     try:
         return FiberVector(q, centred, polarity)
     except StatBundleError:
         pass
-    return FiberVector(q, centred - expect(q, centred), polarity)
+    return FiberVector(q, _frozen(centred - expect(q, centred)), polarity)
 
 
 def random_density(space: Space, seed) -> Density:
@@ -464,7 +507,8 @@ def random_density(space: Space, seed) -> Density:
     g = rng.standard_normal(space.weights.shape)
     g -= g.max()
     e = np.exp(g)
-    return Density(space, e / float(np.dot(e.ravel(), space.weights.ravel())))
+    e /= float(np.dot(e.ravel(), space.weights.ravel()))
+    return Density(space, _frozen(e))
 
 
 def random_fiber(q: Density, seed, polarity: Polarity = "exponential") -> FiberVector:

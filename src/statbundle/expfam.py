@@ -43,6 +43,7 @@ from .core import (
     StatBundleError,
     _as_float_array,
     _as_int,
+    _frozen,
     product_density,
 )
 from .charts import exp_chart_inv, cumulant
@@ -118,15 +119,15 @@ def _check_theta(family: ExpFamily, theta) -> np.ndarray:
 
 
 def _combine(family: ExpFamily, coef: np.ndarray) -> np.ndarray:
-    """sum_j coef[j] * T_j: the np.dot call of np.tensordot(coef, T, axes=1),
-    on the same 2-d reshapes, without its set-up."""
+    """sum_j coef[j] * T_j as a fresh array: one matrix-vector product,
+    with the bits of np.tensordot(coef, T, axes=1)."""
     stats = family.stats
-    flat = np.dot(coef.reshape(1, -1), stats.reshape(stats.shape[0], -1))
+    flat = coef @ stats.reshape(stats.shape[0], -1)
     return flat.reshape(stats.shape[1:])
 
 
 def _natural_statistic(family: ExpFamily, theta: np.ndarray) -> FiberVector:
-    return FiberVector(family.base12, _combine(family, theta), "exponential")
+    return FiberVector(family.base12, _frozen(_combine(family, theta)), "exponential")
 
 
 def psi(family: ExpFamily, theta) -> float:
@@ -155,8 +156,9 @@ def joint_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
     theta = _check_theta(family, theta)
     thetadot = _check_theta(family, thetadot)
     g = density(family, theta)
-    vals = _combine(family, thetadot) - float(thetadot @ _stats_expect(family, g))
-    return FiberVector(g, vals, "exponential")
+    vals = _combine(family, thetadot)
+    vals -= float(thetadot @ _stats_expect(family, g))
+    return FiberVector(g, _frozen(vals), "exponential")
 
 
 def marginal_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
@@ -187,16 +189,17 @@ def _row_sums(family: ExpFamily, weights: np.ndarray) -> np.ndarray:
     return np.einsum("jxy,xy->jx", family.stats, weights)
 
 
-def _centered_conditional_stats(family: ExpFamily, g: Density) -> np.ndarray:
-    """E_G[T_j - E_G[T_j] | X = x] as a (d, n1) table.
+def _centered_conditional_stats(
+    family: ExpFamily, g: Density, g1: Density
+) -> np.ndarray:
+    """E_G[T_j - E_G[T_j] | X = x] as a (d, n1) table, given G's margin G1.
 
     The row sums S[j, x] = sum_y T_j(x, y) G(x, y) mu2(y) give both terms:
     E_G[T_j | X = x] = S[j, x] / G1(x) and, by the tower property,
     E_G[T_j] = sum_x S[j, x] mu1(x)."""
-    weighted = g.values * family.space.right.weights
-    sums = _row_sums(family, weighted)
+    sums = _row_sums(family, g.values * family.space.right.weights)
     mean = sums @ family.space.left.weights
-    return sums / weighted.sum(axis=1) - mean[:, None]
+    return sums / g1.values - mean[:, None]
 
 
 def _check_margin(family: ExpFamily, r1: Density) -> None:
@@ -205,15 +208,15 @@ def _check_margin(family: ExpFamily, r1: Density) -> None:
 
 
 def _kl_gradient(
-    family: ExpFamily, g: Density, g1: Density | None, r1: Density, mode: str
+    family: ExpFamily, g: Density, g1: Density, r1: Density, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient in theta of the flow objective of ``mode`` at the member g.
 
     Returns the table C = E_G[T - E_G[T] | X] of
     :func:`_centered_conditional_stats` with the gradient it integrates.
-    ``g1`` is the first margin of g; the left objective does not read it.
+    ``g1`` is the first margin of g.
     """
-    table = _centered_conditional_stats(family, g)
+    table = _centered_conditional_stats(family, g, g1)
     mu1 = family.space.left.weights
     if mode == "left":
         return table, -table @ (r1.values * mu1)
@@ -222,11 +225,10 @@ def _kl_gradient(
 
 
 def _theta_gradient(family: ExpFamily, theta, r1: Density, mode: str) -> np.ndarray:
-    """The gradient of ``mode``'s objective; only right mode reads G1."""
+    """The gradient of ``mode``'s objective at G(theta)."""
     g = density(family, theta)
     _check_margin(family, r1)
-    g1 = marginalize(g) if mode == "right" else None
-    return _kl_gradient(family, g, g1, r1, mode)[1]
+    return _kl_gradient(family, g, marginalize(g), r1, mode)[1]
 
 
 def kl_theta_gradient_left(family: ExpFamily, theta, r1: Density) -> np.ndarray:

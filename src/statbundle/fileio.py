@@ -38,6 +38,7 @@ from .core import (
     ProductSpace,
     SampleSpace,
     StatBundleError,
+    _frozen,
     make_space,
 )
 from .expfam import ExpFamily, make_expfam
@@ -81,7 +82,7 @@ def _floats(obj: dict, key: str, path) -> np.ndarray:
     raw = _require(obj, key, path)
     try:
         if _numbers_only(raw):
-            return np.asarray(raw, dtype=float)
+            return _frozen(np.asarray(raw, dtype=float))
         problem = "found a string, boolean, null or object"
     except (ValueError, OverflowError) as exc:  # ragged, or an int too large
         problem = str(exc)

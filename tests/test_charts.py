@@ -170,6 +170,53 @@ class TestExpChartInvFallback:
         assert len(calls) == 1
 
 
+class TestExpChartInvInPlace:
+    @pytest.mark.parametrize("n", [2, 3, 7, 60, 300])
+    def test_fast_path_has_the_bits_of_the_plain_formula(self, n):
+        # exp(v - max v) * p / mass, each operation in the one array
+        rng = np.random.default_rng([23, n])
+        space = sb.make_space(rng.uniform(0.2, 2.0, n))
+        for _ in range(20):
+            p = sb.random_density(space, rng)
+            v = sb.center(p, rng.standard_normal(n) * rng.uniform(0.1, 30.0))
+            e = np.exp(v.values - v.values.max()) * p.values
+            expected = e / float(np.dot(e, space.weights))
+            got = sb.exp_chart_inv(p, v).values
+            assert got.tobytes() == expected.tobytes()
+
+    def test_fast_path_has_the_bits_of_the_plain_formula_on_joints(self):
+        rng = np.random.default_rng(200200)
+        space = sb.ProductSpace(sb.make_space(rng.uniform(0.2, 2.0, 200)),
+                                sb.make_space(rng.uniform(0.2, 2.0, 200)))
+        for _ in range(5):
+            p = sb.random_density(space, rng)
+            v = sb.center(p, 3.0 * rng.standard_normal((200, 200)))
+            e = np.exp(v.values - v.values.max()) * p.values
+            expected = e / float(np.dot(e.ravel(), space.weights.ravel()))
+            got = sb.exp_chart_inv(p, v).values
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestSpreadBeyondTheFloatRange:
+    """v = (a, -a) at uniform p on mu = (1/2, 1/2): v - max v reaches -2a,
+    beyond the float range from a = 1e308 on.  The member's second entry is
+    exp(-2a) = 0, outside the model, and the cumulant is a - log 2 = a."""
+
+    @pytest.mark.parametrize("a", [1e300, 1e308, 1.7e308])
+    def test_member_leaves_the_model(self, half_space, a):
+        p = sb.uniform_density(half_space)
+        v = sb.FiberVector(p, np.array([a, -a]))
+        with pytest.raises(
+            sb.BoundaryError, match=r"^non-positive density value 0\.0 at index 1 "
+        ):
+            sb.exp_chart_inv(p, v)
+
+    @pytest.mark.parametrize("a", [1e300, 1e308, 1.7e308])
+    def test_cumulant_is_the_finite_limit(self, half_space, a):
+        p = sb.uniform_density(half_space)
+        assert sb.cumulant(p, sb.FiberVector(p, np.array([a, -a]))) == a
+
+
 class TestMixChart:
     def test_center_maps_to_zero(self, two_point):
         _, p, _, _ = two_point

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import statbundle as sb
-from statbundle import findiff
+from statbundle import fileio, findiff
 from statbundle.core import _density_rows, _fiber_rows, _row_masses
 
 
@@ -357,7 +357,7 @@ def reference_fiber_rows(base, mu, rows):
     atol = sb.core.FIBER_ATOL
     bases = np.broadcast_to(base, rows.shape)
     for x, (row, q) in enumerate(zip(rows, bases)):
-        residual = abs((row * q * mu).sum())
+        residual = abs(np.dot(row * q, mu))
         if residual <= atol:
             continue
         bound = atol * max(1.0, np.sum(np.abs(row) * q * mu))
@@ -462,7 +462,7 @@ def test_fiber_rules_name_the_reference_rule(block):
         except sb.StatBundleError:
             continue
         assert outcome(lambda: sb.FiberVector(q, row.copy()).values) == outcome(
-            reference_fiber_rows, q.values[None], weights[None], row[None].copy()
+            reference_fiber_rows, q.values[None], weights, row[None].copy()
         )
 
 
@@ -510,7 +510,7 @@ def test_large_rows_name_the_reference_rule(n, seed, top, offset):
     row = v / np.abs(v).max() * top
     got = outcome(lambda: sb.FiberVector(q, row.copy()).values)
     assert got == outcome(
-        reference_fiber_rows, q.values[None], space.weights[None], row[None].copy()
+        reference_fiber_rows, q.values[None], space.weights, row[None].copy()
     )
     if offset == 0.0:
         assert got[0] == "ok"
@@ -666,8 +666,116 @@ class TestProductSpace:
         mass = float(np.sum(p12.values * p12.space.weights))
         assert abs(mass - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "factor", ["product", [0.5, 0.5], "ab"], ids=["product", "list", "str"]
+    )
+    def test_factors_must_be_sample_spaces(self, half_space, factor):
+        if factor == "product":
+            factor = sb.ProductSpace(half_space, half_space)
+        for left, right in ((factor, half_space), (half_space, factor)):
+            with pytest.raises(sb.MismatchError, match="must be sample spaces"):
+                sb.ProductSpace(left, right)
+
     def test_uniform_density_general_weights(self):
         space = sb.make_space([0.2, 0.3, 0.5, 2.0])
         u = sb.uniform_density(space)
         assert np.all(u.values == u.values[0])
         assert float(np.dot(u.values, space.weights)) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestAdoption:
+    """Values are adopted when nothing can write to them, else copied."""
+
+    @staticmethod
+    def _build(kind, half_space, arr):
+        if kind == "make_space":
+            return sb.make_space(arr).weights
+        if kind == "make_density":
+            return sb.make_density(half_space, arr).values
+        if kind == "Density":
+            return sb.Density(half_space, arr).values
+        q = sb.make_density(half_space, [1.2, 0.8])
+        return sb.FiberVector(q, arr).values
+
+    KINDS = ["make_space", "make_density", "Density", "FiberVector"]
+    VALUES = {"make_space": [0.5, 0.5], "make_density": [1.2, 0.8],
+              "Density": [1.2, 0.8], "FiberVector": [0.8, -1.2]}
+
+    @pytest.mark.parametrize("view", [False, True], ids=["writeable", "read-only-view"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_writeable_array_is_copied(self, half_space, kind, view):
+        arr = np.array(self.VALUES[kind])
+        passed = arr
+        if view:
+            passed = arr.view()
+            passed.flags.writeable = False
+        stored = self._build(kind, half_space, passed)
+        assert not np.shares_memory(stored, arr)
+        arr[0] = 7.0
+        assert stored.tolist() == self.VALUES[kind]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_owned_read_only_array_is_adopted(self, half_space, kind):
+        arr = np.array(self.VALUES[kind])
+        arr.flags.writeable = False
+        assert np.shares_memory(self._build(kind, half_space, arr), arr)
+
+    def test_a_read_only_array_over_another_buffer_is_copied(self, half_space):
+        buf = bytearray(np.array([1.2, 0.8]).tobytes())
+        arr = np.frombuffer(buf)
+        arr.flags.writeable = False
+        q = sb.Density(half_space, arr)
+        buf[:8] = np.array([7.0]).tobytes()
+        assert q.values.tolist() == [1.2, 0.8]
+
+    def test_every_library_output_is_read_only(self, tmp_path):
+        rng = np.random.default_rng(5)
+        space = sb.ProductSpace(sb.make_space([0.5, 1.5, 1.0]), sb.make_space([1, 2]))
+        p1 = sb.random_density(space.left, 1)
+        p2 = sb.uniform_density(space.right)
+        p12 = sb.product_density(p1, p2)
+        q12 = sb.random_density(space, 2)
+        v = sb.random_fiber(q12, 3)
+        q1 = sb.marginalize(q12)
+        w = sb.mix_chart(p12, q12)
+        fam = sb.make_expfam(p1, p2, rng.standard_normal((2, 3, 2)))
+        path = tmp_path / "joint.json"
+        path.write_text(
+            '{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [1, 1]}, '
+            '"values": [[0.6, 0.4], [0.4, 0.6]]}'
+        )
+        outputs = [
+            space.weights, space.left.weights, p1.values, p2.values, p12.values,
+            q12.values, v.values, q1.values, w.values,
+            sb.marginal_derivative(q12, v).values,
+            sb.center(q12, rng.standard_normal((3, 2))).values,
+            sb.exp_chart(p12, q12).values,
+            sb.exp_chart_inv(p12, sb.exp_chart(p12, q12)).values,
+            sb.mix_chart_inv(p12, w).values,
+            sb.e_transport(q12, p12, v).values,
+            sb.m_transport(q12, p12, v).values,
+            sb.conditionals(q12), sb.conditional_derivatives(q12, v),
+            sb.density(fam, [0.3, -0.2]).values,
+            sb.joint_velocity(fam, [0.3, -0.2], [1.0, 0.5]).values,
+            fam.stats, fileio.load_joint(path).values,
+        ]
+        for out in outputs:
+            assert not out.flags.writeable
+            with pytest.raises(ValueError):
+                out.flat[0] = 1.0
+
+    def test_producers_are_adopted_without_a_copy(self):
+        rng = np.random.default_rng(9)
+        space = sb.ProductSpace(sb.make_space(rng.uniform(0.2, 2.0, 30)),
+                                sb.make_space(rng.uniform(0.2, 2.0, 20)))
+        fam = sb.make_expfam(
+            sb.random_density(space.left, rng), sb.random_density(space.right, rng),
+            rng.standard_normal((3, 30, 20)),
+        )
+        theta = rng.uniform(-1.0, 1.0, 3)
+        g = sb.density(fam, theta)
+        u = sb.expfam._natural_statistic(fam, theta)
+        g1 = sb.marginalize(g)
+        for arr in (g.values, u.values, g1.values):
+            assert sb.core._adoptable(arr)
+        assert np.shares_memory(sb.Density(space, g.values).values, g.values)

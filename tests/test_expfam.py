@@ -125,6 +125,80 @@ class TestDensity:
             np.testing.assert_allclose(margin.values, [1.0, 1.0], atol=1e-12)
 
 
+class TestSpreadBeyondTheFloatRange:
+    # theta * T = (+-a) on the margin family: the spread 2a of the natural
+    # statistic leaves the float range from a = 1e308 on.
+    @pytest.mark.parametrize("a", [1e300, 1e308, 1.7e308])
+    def test_psi_is_the_finite_limit(self, margin_family, a):
+        assert sb.psi(margin_family, [a]) == a
+
+    @pytest.mark.parametrize("a", [800.0, 1e300, 1e308, 1.7e308])
+    def test_density_leaves_the_model(self, margin_family, a):
+        with pytest.raises(
+            sb.BoundaryError,
+            match=r"^non-positive density value 0\.0 at index \(1, 0\)",
+        ):
+            sb.density(margin_family, [a])
+
+
+def family_200x200(seed):
+    """A seeded 200x200, d = 3 family whose statistics move the first margin,
+    and a target margin it attains."""
+    rng = np.random.default_rng(seed)
+    space = sb.ProductSpace(sb.make_space(rng.uniform(0.2, 2.0, 200)),
+                            sb.make_space(rng.uniform(0.2, 2.0, 200)))
+    stats = rng.standard_normal((3, 200, 1)) + 0.3 * rng.standard_normal((3, 200, 200))
+    fam = sb.make_expfam(sb.random_density(space.left, rng),
+                         sb.random_density(space.right, rng), stats)
+    target = sb.marginalize(sb.density(fam, rng.uniform(-1.0, 1.0, 3)))
+    return fam, target
+
+
+def traced_peak(call) -> int:
+    """The peak of memory that numpy and Python allocate during ``call``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    # A member is computed in one full-size buffer, which the Density adopts;
+    # one more full-size copy or temporary brings the peak over the bound.
+    FULL = 200 * 200 * 8
+
+    def test_density(self):
+        fam, _ = family_200x200(31)
+        theta = np.array([0.3, -0.2, 0.1])
+        assert traced_peak(lambda: sb.density(fam, theta)) <= 2.5 * self.FULL
+
+    def test_flow(self):
+        fam, target = family_200x200(32)
+        peak = traced_peak(lambda: sb.natural_gradient_flow(
+            fam, np.zeros(3), target, mode="left", step=0.5, tol=1e-7
+        ))
+        assert peak <= 3.5 * self.FULL
+
+
+class TestCombine:
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 6, 5), (3, 64, 64), (3, 200, 200),
+                                       (4, 200, 300)])
+    def test_has_the_bits_of_tensordot(self, shape):
+        d, n1, n2 = shape
+        rng = np.random.default_rng(shape)
+        space = sb.ProductSpace(sb.make_space(rng.uniform(0.2, 2.0, n1)),
+                                sb.make_space(rng.uniform(0.2, 2.0, n2)))
+        fam = sb.make_expfam(sb.random_density(space.left, rng),
+                             sb.random_density(space.right, rng),
+                             rng.standard_normal(shape))
+        for _ in range(20):
+            coef = rng.uniform(-2.0, 2.0, d)
+            got = sb.expfam._combine(fam, coef)
+            assert got.tobytes() == np.tensordot(coef, fam.stats, axes=1).tobytes()
+
+
 class TestGradPsi:
     def test_zero_at_origin(self, diag_family):
         np.testing.assert_allclose(sb.grad_psi(diag_family, [0.0]), 0.0,
