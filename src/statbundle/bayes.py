@@ -87,7 +87,7 @@ def conditionals(q12: Density) -> np.ndarray:
     q21(.|x), validated row by row as :class:`Density` validates."""
     mu2 = _joint_space(q12).right.weights
     rows = q12.values
-    return _density_rows(mu2, rows / _row_masses(rows, mu2)[:, None])
+    return _frozen(_density_rows(mu2, rows / _row_masses(rows, mu2)[:, None]))
 
 
 def conditional_derivatives(q12: Density, v: FiberVector) -> np.ndarray:
@@ -98,7 +98,7 @@ def conditional_derivatives(q12: Density, v: FiberVector) -> np.ndarray:
     _require_same_base(v, q12)
     mu2 = space.right.weights
     cond = conditionals(q12)
-    return _fiber_rows(cond, mu2, _centred_rows(v.values, cond, mu2))
+    return _frozen(_fiber_rows(cond, mu2, _centred_rows(v.values, cond, mu2)))
 
 
 def condition_chart_derivatives(
@@ -136,7 +136,7 @@ def condition_chart_derivatives(
     fx = (v.values - m[:, None]) / denom[:, None]
     m_h = np.sum(h.values * p2.values * p2.space.weights, axis=1)[:, None]
     rows = (h.values - m_h - fx * m_h) / denom[:, None]
-    return _fiber_rows(p2.values, p2.space.weights, rows)
+    return _frozen(_fiber_rows(p2.values, p2.space.weights, rows))
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,9 @@ def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     cond = conditionals(q12)
     mu2 = space.right.weights
     logratio = np.log(cond) - np.log(p2.values)
-    u21 = _fiber_rows(p2.values, mu2, _centred_rows(logratio, p2.values, mu2))
+    u21 = _frozen(_fiber_rows(p2.values, mu2, _centred_rows(logratio, p2.values, mu2)))
     cond_kl = _kl_rows(mu2, p2.values, cond)
-    centering = cond_kl - _expect(p1, cond_kl)
+    centering = _frozen(cond_kl - _expect(p1, cond_kl))
     residual = float(
         np.max(np.abs(u12 - (u1[:, None] + u21 - centering[:, None])))
     )

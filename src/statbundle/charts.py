@@ -195,7 +195,7 @@ def mixture_curve(q: Density, w: FiberVector) -> Curve:
     peak = float(np.max(np.abs(w.values)))
     t_max = math.inf if peak == 0.0 else 0.5 / peak
     return Curve(
-        at=lambda t: Density(q.space, (1.0 + t * w.values) * q.values),
+        at=lambda t: Density(q.space, _frozen((1.0 + t * w.values) * q.values)),
         t0=-t_max,
         t1=t_max,
     )
@@ -205,5 +205,5 @@ def exponential_curve(p: Density, u: FiberVector) -> Curve:
     """The one-parameter exponential family t -> exp(t*u - K_p(t*u)) * p."""
     _require_same_base(u, p)
     return Curve(
-        at=lambda t: exp_chart_inv(p, FiberVector(p, t * u.values, "exponential"))
+        at=lambda t: exp_chart_inv(p, FiberVector(p, _frozen(t * u.values)))
     )

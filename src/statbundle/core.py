@@ -13,12 +13,17 @@ Conventions used throughout the package:
   :class:`ProductSpace` whose weight table is the outer product of the
   factor weights.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe to use from concurrent contexts.
+Every array an object keeps is a read-only view of a read-only owner that
+only the library holds, which numpy refuses to make writeable.  So values
+are immutable after construction, unless code reaches an owner on purpose
+(see :class:`Density`), and every operation is a pure function: everything
+here is safe to use from concurrent contexts.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Literal, Union
@@ -60,7 +65,8 @@ def _float_array(values, name: str) -> np.ndarray:
     as 0.5 and ``True`` as 1.0, and raise a bare ``ValueError`` on other
     strings.  Strings, bytes, booleans, complex numbers and Python objects
     are rejected by their dtype alone, without a pass over the values, and
-    a float array is returned as it is.
+    a float array is returned as it is.  One made here is handed over with
+    :func:`_frozen`, so that a constructor keeps it without a second copy.
     """
     try:
         arr = np.asarray(values)
@@ -71,8 +77,8 @@ def _float_array(values, name: str) -> np.ndarray:
             raise StatBundleError(
                 f"{name} must hold integers or floats, not {arr.dtype}"
             )
-        arr = arr.astype(float)
-    return arr
+        return _frozen(arr.astype(float))
+    return _frozen(arr) if type(values) in (list, tuple) else arr
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -90,46 +96,41 @@ def _as_int(value, name: str) -> int:
         raise StatBundleError(f"{name} must be an integer, not {value!r}") from None
 
 
+def _as_positive_float(value, name: str) -> float:
+    """``value`` as a positive, finite float; ints and numpy floats qualify,
+    booleans do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise StatBundleError(f"{name} must be a real number, not {value!r}")
+    if not 0.0 < value < math.inf:
+        raise StatBundleError(f"{name} must be positive and finite")
+    return float(value)
+
+
 def _coord_label(shape: tuple[int, ...], flat_index: int) -> str:
     if len(shape) == 1:
         return str(flat_index)
     return str(tuple(int(i) for i in np.unravel_index(flat_index, shape)))
 
 
-def _adoptable(arr: np.ndarray) -> bool:
-    """True if ``arr`` can be kept as it is: float64, C-contiguous and
-    read-only, and so is every array on its ``.base`` chain, down to the one
-    that owns the memory.  A read-only view of a writeable array fails, and
-    so does an array over any other buffer."""
-    flags = arr.flags
-    if flags.writeable or not flags.c_contiguous or arr.dtype != _FLOAT:
-        return False
-    base = arr.base
-    while base is not None:
-        if type(base) is not np.ndarray or base.flags.writeable:
-            return False
-        base = base.base
-    return True
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself if it can be adopted, else a read-only float64 copy."""
-    if _adoptable(arr):
+    """The float64 ``arr`` itself if it is in the stored form -- a read-only,
+    C-contiguous view of a read-only array that owns its memory -- else a
+    copy in that form."""
+    base = arr.base
+    if (type(base) is np.ndarray and base.flags.owndata and not base.flags.writeable
+            and not arr.flags.writeable and arr.flags.c_contiguous):
         return arr
-    out = np.array(arr, dtype=float, order="C")
-    out.flags.writeable = False
-    return out
+    return _frozen(np.array(arr, dtype=float, order="C"))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """Mark a fresh array, and every array it views, read-only, so that a
-    constructor adopts it instead of copying it.  Only for arrays that the
-    library has just made and no caller holds."""
-    base = arr
-    while base is not None:
-        base.setflags(write=False)
-        base = base.base
-    return arr
+    """Hand a fresh array over in stored form: freeze the array that owns its
+    memory, ``arr`` or ``arr.base``, and return a read-only view of ``arr``.
+    Only for arrays that the library has just made and no caller holds."""
+    if arr.base is not None:
+        arr.base.flags.writeable = False
+    arr.flags.writeable = False
+    return arr.view()
 
 
 def _centring_bound(vals, q, mu, floor=1.0):
@@ -160,13 +161,14 @@ def _row_label(rows: np.ndarray, x: int) -> str:
 
 
 def _density_rows(weights: np.ndarray, rows: np.ndarray, shape=None) -> np.ndarray:
-    """Check each row of a fresh (k, n) block as a density against ``weights``.
+    """Check each row of a (k, n) block as a density against ``weights``.
 
     These are the rules of :class:`Density`, which checks its values as a
     one-row block: finite entries, no value below the positivity floor, and
     a mass within 1e-12 of one, where drift below 1e-6 is renormalised and
     larger drift is rejected.  Errors name an entry by its index in an
-    array of ``shape`` (default: the block's).  Returns the block read-only.
+    array of ``shape`` (default: the block's).  Returns the block, or a
+    fresh renormalised copy of it.
     """
     # The passing path in two tests: min() >= floor also fails on NaN and
     # -inf, and +inf fails the drift test.  Anything else takes the checks
@@ -177,7 +179,6 @@ def _density_rows(weights: np.ndarray, rows: np.ndarray, shape=None) -> np.ndarr
         else:
             drift = np.abs(_row_masses(rows, weights) - 1.0).max()
         if drift <= NORMALIZATION_ATOL:
-            rows.flags.writeable = False
             return rows
     if not np.isfinite(rows).all():
         raise StatBundleError("density values contains a non-finite entry")
@@ -200,7 +201,6 @@ def _density_rows(weights: np.ndarray, rows: np.ndarray, shape=None) -> np.ndarr
             )
         off = drift > NORMALIZATION_ATOL
         rows = np.where(off[:, None], rows / mass[:, None], rows)
-    rows.flags.writeable = False
     return rows
 
 
@@ -209,20 +209,19 @@ def _density_rows(weights: np.ndarray, rows: np.ndarray, shape=None) -> np.ndarr
 # reaches the checks below.
 @np.errstate(invalid="ignore", over="ignore")
 def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Check each row of a fresh (k, n) block as a fiber vector.
+    """Check each row of a (k, n) block as a fiber vector.
 
     Row x is checked at the density ``base[x]``, or at ``base`` itself when
     it is a single density, against the 1-d weights ``mu``.  These are the
     rules of :class:`FiberVector`, which checks its values as a one-row
     block: finite entries and a centring residual within the scaled
-    tolerance.  Returns the block read-only.
+    tolerance.  Returns the block.
     """
     # The passing path in one test: a non-finite entry makes its row's
     # residual NaN or infinite, which fails it.  Anything else takes the
     # checks below, in their order.
     residual = np.abs(_row_masses(rows * base, mu))
     if residual.max() <= FIBER_ATOL:
-        rows.flags.writeable = False
         return rows
     if not np.isfinite(rows).all():
         raise StatBundleError("fiber values contains a non-finite entry")
@@ -250,7 +249,6 @@ def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarra
             f"not a fiber vector{_row_label(rows, x)}: expectation "
             f"residual {res[i]:.3e} exceeds {bound[i]:.3e}"
         )
-    rows.flags.writeable = False
     return rows
 
 
@@ -347,11 +345,13 @@ class Density:
     silently renormalized (float drift from upstream arithmetic); anything
     larger is rejected as a caller bug.
 
-    The stored ``values`` are read-only.  A float64, C-contiguous, read-only
-    array whose ``.base`` chain is read-only too is adopted as it is and
-    shares its memory; any other array, a writeable one or a read-only view
-    of a writeable one included, is copied, so that later writes to it do
-    not reach the density.
+    The stored ``values`` are a read-only view of a read-only array that
+    only the library holds, so not even their own flags can make them
+    writeable.  An array passed in is copied, so that later writes to it do
+    not reach the density; values the library made, as in
+    ``Density(space, g.values)``, are shared.  What stays open is reaching
+    an owner on purpose: through ``.base``, or by passing in a read-only
+    view of one's own read-only array and making that array writeable.
     """
 
     space: Space
@@ -366,9 +366,9 @@ class Density:
             )
         rows = vals.reshape(1, -1)
         checked = _density_rows(self.space.weights.ravel(), rows, vals.shape)
-        # The checked block is a view of vals unless it was renormalised.
-        kept = vals if checked is rows else checked.reshape(vals.shape)
-        object.__setattr__(self, "values", _freeze(kept))
+        if checked is not rows:  # renormalised, in a fresh block
+            vals = _frozen(checked.reshape(vals.shape))
+        object.__setattr__(self, "values", _freeze(vals))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -397,7 +397,7 @@ class FiberVector:
     ``max(1, E_q[|v|])`` so that vectors of large magnitude, centred to
     working precision, are accepted.
 
-    ``values`` are copied or adopted by the rule of :class:`Density`.
+    ``values`` are stored, copied or shared by the rule of :class:`Density`.
     """
 
     base: Density

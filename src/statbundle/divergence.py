@@ -22,6 +22,7 @@ from .core import (
     FiberVector,
     MismatchError,
     _as_float_array,
+    _frozen,
     _require_same_base,
     _require_same_space,
     center,
@@ -57,7 +58,7 @@ def structural_reconstruct(p: Density, q: Density) -> Density:
     """
     _require_same_space(p.space, q.space)
     s = exp_chart(p, q)
-    return Density(p.space, np.exp(s.values - kl(p, q)) * p.values)
+    return Density(p.space, _frozen(np.exp(s.values - kl(p, q)) * p.values))
 
 
 def grad1_kl(q: Density, r: Density) -> FiberVector:
@@ -71,7 +72,7 @@ def grad2_kl(q: Density, r: Density) -> FiberVector:
     """Second-slot natural gradient of D(q||r): -eta_r(q) = 1 - q/r, a fiber
     vector at r."""
     _require_same_space(q.space, r.space)
-    return FiberVector(r, 1.0 - q.values / r.values, "mixture")
+    return FiberVector(r, _frozen(1.0 - q.values / r.values), "mixture")
 
 
 def kl_curve_derivative(

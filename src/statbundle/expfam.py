@@ -41,6 +41,7 @@ from .core import (
     NormalizationError,
     ProductSpace,
     StatBundleError,
+    _as_positive_float,
     _as_float_array,
     _as_int,
     _frozen,
@@ -103,8 +104,7 @@ def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
             f"statistics are linearly dependent: smallest Gram eigenvalue "
             f"{smallest:.3e} <= {GRAM_EIGENVALUE_FLOOR:.0e}"
         )
-    stats = centered.reshape(arr.shape)
-    stats.flags.writeable = False
+    stats = _frozen(centered.reshape(arr.shape))
     return ExpFamily(base1=p1, base2=p2, stats=stats, base12=p12)
 
 
@@ -316,8 +316,8 @@ def natural_gradient_flow(
     point evaluates G(theta) and its margin once; the accepted one reuses
     them for the objective, the gradient and F.
 
-    ``step`` and ``tol`` must be positive and finite, and ``iters`` a
-    positive integer.  Stops converged when ||F^-1 g|| drops below
+    ``step`` and ``tol`` must be positive and finite real numbers, and
+    ``iters`` a positive integer.  Stops converged when ||F^-1 g|| drops below
     ``tol``; otherwise the trace's ``stop_reason`` says why it stopped.
     The Euclidean gradient norm is no stopping rule: on a saturated
     plateau it underflows far from the optimum, where the natural step
@@ -325,10 +325,8 @@ def natural_gradient_flow(
     """
     if mode not in ("left", "right"):
         raise StatBundleError(f"unknown flow mode {mode!r}")
-    if not 0.0 < step < math.inf:
-        raise StatBundleError("step must be positive and finite")
-    if not 0.0 < tol < math.inf:
-        raise StatBundleError("tol must be positive and finite")
+    step = _as_positive_float(step, "step")
+    tol = _as_positive_float(tol, "tol")
     iters = _as_int(iters, "iters")
     if iters < 1:
         raise StatBundleError("iters must be at least 1")
@@ -338,7 +336,7 @@ def natural_gradient_flow(
     def objective_of(g1: Density) -> float:
         return kl(r1, g1) if mode == "left" else kl(g1, r1)
 
-    theta = _check_theta(family, theta0).copy()
+    theta = _frozen(_check_theta(family, theta0).copy())
     g = density(family, theta)
     g1 = marginalize(g)
     objective = objective_of(g1)
@@ -374,7 +372,7 @@ def natural_gradient_flow(
             # without counting.
             try:
                 with np.errstate(over="raise"):
-                    candidate = theta - trial_step * direction
+                    candidate = _frozen(theta - trial_step * direction)
                     if np.array_equal(candidate, theta):
                         return FlowTrace(records, mode, "stalled")
                     cand_g = density(family, candidate)

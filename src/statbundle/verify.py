@@ -30,6 +30,7 @@ from .core import (
     ProductSpace,
     SampleSpace,
     StatBundleError,
+    _as_positive_float,
     _as_int,
     _fiber_rows,
     expect,
@@ -453,7 +454,7 @@ def run_verification(
     -space checks run once per distinct outcome count appearing in
     ``sizes``, each factor of which needs at least 2 outcomes.  A NaN
     residual makes its check's ``max_residual`` NaN, a FAIL.  ``slack``,
-    positive and finite, scales every threshold (handy for exploratory
+    a positive, finite real number, scales every threshold (handy for exploratory
     runs; the defaults are the contractual tolerances).  An empty ``names``,
     one naming no check, or a string ``names`` or ``sizes`` (read character
     by character otherwise) raises :class:`StatBundleError`.  ``seed``,
@@ -466,8 +467,7 @@ def run_verification(
     trials = _as_int(trials, "trials")
     if trials < 1:
         raise StatBundleError("trials must be at least 1")
-    if not 0.0 < slack < math.inf:
-        raise StatBundleError("tolerance slack must be positive and finite")
+    slack = _as_positive_float(slack, "tolerance slack")
     for arg, value in (("sizes", sizes), ("names", names)):
         if isinstance(value, str):
             raise StatBundleError(f"{arg} must be a sequence, not the string {value!r}")

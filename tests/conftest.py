@@ -1,6 +1,18 @@
+import tracemalloc
+
 import pytest
 
 import statbundle as sb
+
+
+def traced_peak(call) -> int:
+    """The peak of memory that numpy and Python allocate during ``call``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

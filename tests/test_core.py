@@ -10,6 +10,8 @@ import statbundle as sb
 from statbundle import fileio, findiff
 from statbundle.core import _density_rows, _fiber_rows, _row_masses
 
+from conftest import traced_peak
+
 
 class TestMakeSpace:
     def test_uniform_two_point(self):
@@ -281,7 +283,6 @@ class TestRowValidation:
         np.testing.assert_array_equal(
             table[1], sb.Density(space, rows[1]).values
         )
-        assert not table.flags.writeable
 
     @pytest.mark.parametrize(
         "bad_row", [[np.inf, 0.0, 0.0], [1e-6, 0.0, 0.0], [1e4, -1e4, 1e-6]]
@@ -684,7 +685,8 @@ class TestProductSpace:
 
 
 class TestAdoption:
-    """Values are adopted when nothing can write to them, else copied."""
+    """Stored values are read-only views of owners that only the library
+    holds: library results are shared, arrays passed in are copied."""
 
     @staticmethod
     def _build(kind, half_space, arr):
@@ -715,10 +717,43 @@ class TestAdoption:
         assert stored.tolist() == self.VALUES[kind]
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_an_owned_read_only_array_is_adopted(self, half_space, kind):
+    def test_an_owned_read_only_array_is_copied(self, half_space, kind):
         arr = np.array(self.VALUES[kind])
         arr.flags.writeable = False
-        assert np.shares_memory(self._build(kind, half_space, arr), arr)
+        stored = self._build(kind, half_space, arr)
+        assert not np.shares_memory(stored, arr)
+        arr.flags.writeable = True
+        arr[0] = 7.0
+        assert stored.tolist() == self.VALUES[kind]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stored_values_cannot_be_made_writeable(self, half_space, kind):
+        stored = self._build(kind, half_space, self.VALUES[kind])
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            stored.flags.writeable = True
+        assert stored.tolist() == self.VALUES[kind]
+
+    def test_a_list_is_copied_once(self):
+        space = sb.ProductSpace(sb.make_space(np.ones(200)), sb.make_space(np.ones(200)))
+        values = sb.random_density(space, 0).values.tolist()
+        peak = traced_peak(lambda: sb.make_density(space, values))
+        assert peak <= 1.5 * 200 * 200 * 8
+
+    def test_an_array_like_over_its_own_buffer_is_copied(self, half_space):
+        class Holder:
+            def __init__(self):
+                self.buffer = np.array([1.2, 0.8])
+                self.buffer.flags.writeable = False
+
+            def __array__(self, dtype=None, copy=None):
+                return self.buffer
+
+        holder = Holder()
+        q = sb.Density(half_space, holder)
+        assert not np.shares_memory(q.values, holder.buffer)
+        holder.buffer.flags.writeable = True
+        holder.buffer[0] = 7.0
+        assert q.values.tolist() == [1.2, 0.8]
 
     def test_a_read_only_array_over_another_buffer_is_copied(self, half_space):
         buf = bytearray(np.array([1.2, 0.8]).tobytes())
@@ -744,6 +779,10 @@ class TestAdoption:
             '{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [1, 1]}, '
             '"values": [[0.6, 0.4], [0.4, 0.6]]}'
         )
+        p1_curve = sb.exponential_curve(p1, sb.random_fiber(p1, 4))
+        q12_curve = sb.mixture_curve(q12, sb.random_fiber(q12, 5, "mixture"))
+        decomposition = sb.exp_decompose(p1, p2, q12)
+        trace = sb.natural_gradient_flow(fam, [0.3, -0.2], q1, iters=2)
         outputs = [
             space.weights, space.left.weights, p1.values, p2.values, p12.values,
             q12.values, v.values, q1.values, w.values,
@@ -754,15 +793,24 @@ class TestAdoption:
             sb.mix_chart_inv(p12, w).values,
             sb.e_transport(q12, p12, v).values,
             sb.m_transport(q12, p12, v).values,
+            sb.structural_reconstruct(p12, q12).values,
+            sb.grad2_kl(q12, p12).values,
+            p1_curve(0.3).values, q12_curve(0.1).values,
             sb.conditionals(q12), sb.conditional_derivatives(q12, v),
+            sb.condition_chart_derivatives(p1, p2, w, sb.m_transport(q12, p12, v)),
+            decomposition.joint, decomposition.marginal,
+            decomposition.conditional, decomposition.centering,
             sb.density(fam, [0.3, -0.2]).values,
             sb.joint_velocity(fam, [0.3, -0.2], [1.0, 0.5]).values,
-            fam.stats, fileio.load_joint(path).values,
+            fam.stats, *(record.theta for record in trace.records),
+            fileio.load_joint(path).values,
         ]
         for out in outputs:
             assert not out.flags.writeable
             with pytest.raises(ValueError):
                 out.flat[0] = 1.0
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                out.flags.writeable = True
 
     def test_producers_are_adopted_without_a_copy(self):
         rng = np.random.default_rng(9)
@@ -777,5 +825,5 @@ class TestAdoption:
         u = sb.expfam._natural_statistic(fam, theta)
         g1 = sb.marginalize(g)
         for arr in (g.values, u.values, g1.values):
-            assert sb.core._adoptable(arr)
+            assert sb.core._freeze(arr) is arr
         assert np.shares_memory(sb.Density(space, g.values).values, g.values)

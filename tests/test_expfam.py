@@ -7,6 +7,8 @@ import pytest
 import statbundle as sb
 from statbundle.findiff import fd_gradient, fd_vector_curve
 
+from conftest import traced_peak
+
 
 def enum_psi(stats, theta, weights):
     """4-state (or n-state) enumeration of log sum(w * exp(theta.T))."""
@@ -152,16 +154,6 @@ def family_200x200(seed):
                          sb.random_density(space.right, rng), stats)
     target = sb.marginalize(sb.density(fam, rng.uniform(-1.0, 1.0, 3)))
     return fam, target
-
-
-def traced_peak(call) -> int:
-    """The peak of memory that numpy and Python allocate during ``call``."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestTransientMemory:
@@ -541,6 +533,26 @@ class TestFlow:
             for value in (0.0, -1.0, math.inf, math.nan):
                 with pytest.raises(sb.StatBundleError, match="positive and finite"):
                     sb.natural_gradient_flow(margin_family, [1.0], r1, **{name: value})
+
+    @pytest.mark.parametrize(
+        "value", ["0.5", None, [1e-8], True], ids=["str", "None", "list", "bool"]
+    )
+    @pytest.mark.parametrize("name", ["step", "tol"])
+    def test_float_arguments_must_be_real_numbers(self, margin_family, name, value):
+        r1 = sb.uniform_density(margin_family.space.left)
+        with pytest.raises(sb.StatBundleError, match=f"{name} must be a real number"):
+            sb.natural_gradient_flow(margin_family, [1.0], r1, **{name: value})
+
+    def test_int_and_numpy_float_step_and_tol(self, margin_family):
+        r1 = sb.make_density(margin_family.space.left, [1.2, 0.8])
+        plain = sb.natural_gradient_flow(margin_family, [1.0], r1, step=1.0, tol=1e-12)
+        other = sb.natural_gradient_flow(
+            margin_family, [1.0], r1, step=1, tol=np.float64(1e-12)
+        )
+        assert other.stop_reason == plain.stop_reason
+        assert [r.theta.tobytes() for r in other.records] == [
+            r.theta.tobytes() for r in plain.records
+        ]
 
     def test_numpy_integer_iters(self, margin_family):
         r1 = sb.make_density(margin_family.space.left, [1.2, 0.8])

@@ -72,6 +72,21 @@ def test_config_validation():
             run_verification(trials=1, sizes=sizes, names=["kl-chain"])
 
 
+@pytest.mark.parametrize(
+    "value", ["1", None, [1.0], True], ids=["str", "None", "list", "bool"]
+)
+def test_slack_must_be_a_real_number(value):
+    with pytest.raises(sb.StatBundleError, match="slack must be a real number"):
+        run_verification(trials=1, names=["kl-chain"], slack=value)
+
+
+def test_int_and_numpy_float_slack():
+    plain = run_verification(seed=3, trials=2, names=["kl-chain"])
+    for slack in (1, np.float64(1.0)):
+        other = run_verification(seed=3, trials=2, names=["kl-chain"], slack=slack)
+        assert other.checks == plain.checks
+
+
 def test_numpy_integer_counts():
     plain = run_verification(seed=3, trials=2, names=["kl-chain"])
     numpy = run_verification(seed=np.int64(3), trials=np.int32(2), names=["kl-chain"])
