@@ -17,10 +17,10 @@ R^d is a valid parameter domain and ``psi`` is the base cumulant of
   C = E_G[T - E_G[T] | X] against r1*mu1 and against log(r1/G1)*G1*mu1;
 * the Fisher matrix of the margin family is C diag(G1*mu1) C^T.
 
-The conditional expectations E_G[T_j | X = x] of C come from one
-contraction, ``_row_sums``, that allocates no (d, n1, n2) array.  The same
-row sums also give E_G[T], by the tower property
-E_G[T] = E_G1[E_G[T | X]], so the statistics are read once per table.
+The moments of T under G come from one contraction, ``_moments``, that
+allocates no (d, n1, n2) array: its row sums give the conditional
+expectations E_G[T_j | X = x] of C and, by the tower property
+E_G[T] = E_G1[E_G[T | X]], the mean E_G[T] that ``grad_psi`` returns.
 
 :func:`natural_gradient_flow` descends either objective along the
 Fisher-preconditioned gradient, with backtracking.
@@ -147,7 +147,7 @@ def density(family: ExpFamily, theta) -> Density:
 
 def grad_psi(family: ExpFamily, theta) -> np.ndarray:
     """grad psi(theta) = E_{G(theta)}[T], one entry per statistic."""
-    return _stats_expect(family, density(family, theta))
+    return _moments(family, density(family, theta))[1]
 
 
 def joint_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
@@ -157,7 +157,7 @@ def joint_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
     thetadot = _check_theta(family, thetadot)
     g = density(family, theta)
     vals = _combine(family, thetadot)
-    vals -= float(thetadot @ _stats_expect(family, g))
+    vals -= float(thetadot @ _moments(family, g)[1])
     return FiberVector(g, _frozen(vals), "exponential")
 
 
@@ -177,29 +177,16 @@ def conditional_velocities(family: ExpFamily, theta, thetadot) -> np.ndarray:
     return conditional_derivatives(v.base, v)
 
 
-def _stats_expect(family: ExpFamily, g: Density) -> np.ndarray:
-    """E_G[T_j] for each statistic, as a length-d vector."""
-    stats = family.stats
-    return stats.reshape(stats.shape[0], -1) @ (g.values * g.space.weights).ravel()
+def _moments(family: ExpFamily, g: Density) -> tuple[np.ndarray, np.ndarray]:
+    """The row sums S[j, x] = sum_y T_j(x, y) G(x, y) mu2(y) as a (d, n1)
+    table, and E_G[T] = sum_x S[j, x] mu1(x) by the tower property.
 
-
-def _row_sums(family: ExpFamily, weights: np.ndarray) -> np.ndarray:
-    """sum_y T_j(x, y) * weights(x, y) as a (d, n1) table, in one contraction
-    that allocates nothing of the statistics' (d, n1, n2) size."""
-    return np.einsum("jxy,xy->jx", family.stats, weights)
-
-
-def _centered_conditional_stats(
-    family: ExpFamily, g: Density, g1: Density
-) -> np.ndarray:
-    """E_G[T_j - E_G[T_j] | X = x] as a (d, n1) table, given G's margin G1.
-
-    The row sums S[j, x] = sum_y T_j(x, y) G(x, y) mu2(y) give both terms:
-    E_G[T_j | X = x] = S[j, x] / G1(x) and, by the tower property,
-    E_G[T_j] = sum_x S[j, x] mu1(x)."""
-    sums = _row_sums(family, g.values * family.space.right.weights)
-    mean = sums @ family.space.left.weights
-    return sums / g1.values - mean[:, None]
+    One contraction that allocates nothing of the statistics' (d, n1, n2)
+    size.  E_G[T_j | X = x] is S[j, x] / G1(x).
+    """
+    mu2 = family.space.right.weights
+    sums = np.einsum("jxy,xy->jx", family.stats, g.values * mu2)
+    return sums, sums @ family.space.left.weights
 
 
 def _check_margin(family: ExpFamily, r1: Density) -> None:
@@ -212,11 +199,12 @@ def _kl_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient in theta of the flow objective of ``mode`` at the member g.
 
-    Returns the table C = E_G[T - E_G[T] | X] of
-    :func:`_centered_conditional_stats` with the gradient it integrates.
-    ``g1`` is the first margin of g.
+    Returns the table C = E_G[T - E_G[T] | X], formed from the
+    :func:`_moments` of g as S / G1 - E_G[T], with the gradient it
+    integrates.  ``g1`` is the first margin of g.
     """
-    table = _centered_conditional_stats(family, g, g1)
+    sums, mean = _moments(family, g)
+    table = sums / g1.values - mean[:, None]
     mu1 = family.space.left.weights
     if mode == "left":
         return table, -table @ (r1.values * mu1)
