@@ -39,6 +39,7 @@ from .core import (
     FiberVector,
     MismatchError,
     ProductSpace,
+    StatBundleError,
     _density_rows,
     _expect,
     _fiber_rows,
@@ -78,8 +79,20 @@ def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
 
 
 def _centred_rows(rows: np.ndarray, cond: np.ndarray, mu2: np.ndarray) -> np.ndarray:
-    """v(x, .) - E[v(x, .) | X = x] for each row x of a block."""
-    return rows - np.sum(rows * cond * mu2, axis=1)[:, None]
+    """v(x, .) - E[v(x, .) | X = x] for each row x of a block, each row
+    validated as a fiber vector at cond[x] (or at cond, a single density).
+
+    As in :func:`~statbundle.core.center`, a large row offset can leave a
+    residual mean beyond the fiber tolerance; the block is then centred
+    once more.
+    """
+    centred = rows - np.sum(rows * cond * mu2, axis=1)[:, None]
+    try:
+        return _fiber_rows(cond, mu2, centred)
+    except StatBundleError:
+        pass
+    centred = centred - np.sum(centred * cond * mu2, axis=1)[:, None]
+    return _fiber_rows(cond, mu2, centred)
 
 
 def conditionals(q12: Density) -> np.ndarray:
@@ -98,7 +111,7 @@ def conditional_derivatives(q12: Density, v: FiberVector) -> np.ndarray:
     _require_same_base(v, q12)
     mu2 = space.right.weights
     cond = conditionals(q12)
-    return _frozen(_fiber_rows(cond, mu2, _centred_rows(v.values, cond, mu2)))
+    return _frozen(_centred_rows(v.values, cond, mu2))
 
 
 def condition_chart_derivatives(
@@ -173,7 +186,7 @@ def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     cond = conditionals(q12)
     mu2 = space.right.weights
     logratio = np.log(cond) - np.log(p2.values)
-    u21 = _frozen(_fiber_rows(p2.values, mu2, _centred_rows(logratio, p2.values, mu2)))
+    u21 = _frozen(_centred_rows(logratio, p2.values, mu2))
     cond_kl = _kl_rows(mu2, p2.values, cond)
     centering = _frozen(cond_kl - _expect(p1, cond_kl))
     residual = float(

@@ -148,6 +148,25 @@ class TestConditionalDerivative:
             base = sb.make_density(q12.space.right, cond[x])
             assert abs(sb.expect(base, table[x])) <= 1e-12
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_large_row_offsets_are_centred(self, offset):
+        # Rows of v that carry a large offset keep a residual mean after one
+        # centring pass; the table centres them again instead of failing.
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 22])
+            space = sb.ProductSpace(
+                sb.make_space(rng.uniform(0.2, 2.0, 3)),
+                sb.make_space(rng.uniform(0.2, 2.0, 3)),
+            )
+            q12 = sb.random_density(space, rng)
+            noise = rng.standard_normal((3, 3))
+            v = sb.center(q12, noise + offset * np.array([1.0, -1.0, 0.5])[:, None])
+            weights = sb.conditionals(q12) * space.right.weights
+            expected = noise - np.sum(noise * weights, axis=1)[:, None]
+            np.testing.assert_allclose(
+                sb.conditional_derivatives(q12, v), expected, rtol=0.0, atol=1e-8
+            )
+
     def test_matches_mixture_curve_fd(self):
         q12 = random_joint(2, 4, 20)
         v = sb.random_fiber(q12, 21)
