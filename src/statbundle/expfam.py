@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FIBER_ATOL,
     BoundaryError,
     Density,
     FiberVector,
@@ -97,6 +98,11 @@ def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
     w = (p12.values * p12.space.weights).ravel()
     flat = arr.reshape(arr.shape[0], -1)
     centered = flat - (flat @ w)[:, None]
+    # The rounding error of the mean grows with the statistics' offset, so
+    # a large offset leaves a residual mean that the members would reject.
+    residual = centered @ w
+    if (np.abs(residual) > FIBER_ATOL).any():
+        centered -= residual[:, None]
     gram = (centered * w) @ centered.T
     smallest = float(np.linalg.eigvalsh(gram)[0])
     if smallest <= GRAM_EIGENVALUE_FLOOR:

@@ -48,6 +48,21 @@ class TestMakeExpFamily:
         )
         assert abs(base_mean) <= 1e-12
 
+    @pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
+    def test_large_offset_is_centred_within_the_fiber_tolerance(self, offset):
+        # One centring pass leaves a residual mean that grows with the
+        # offset; the members of the family must still be valid.
+        for seed in range(10):
+            rng = np.random.default_rng([seed, 4])
+            p1 = sb.random_density(sb.make_space(rng.uniform(0.2, 2.0, 3)), rng)
+            p2 = sb.random_density(sb.make_space(rng.uniform(0.2, 2.0, 4)), rng)
+            fam = sb.make_expfam(p1, p2, offset + rng.standard_normal((2, 3, 4)))
+            w = (fam.base12.values * fam.space.weights).ravel()
+            assert np.abs(fam.stats.reshape(2, -1) @ w).max() <= 1e-12
+            theta = [0.1, -0.2]
+            assert sb.density(fam, theta).space == fam.space
+            assert math.isfinite(sb.psi(fam, theta))
+
     def test_proportional_stats_rejected(self, half_space):
         p = sb.uniform_density(half_space)
         t = [[1.0, -1.0], [-1.0, 1.0]]
@@ -309,6 +324,23 @@ class TestVelocities:
                 for z in range(n2)
             ]
             np.testing.assert_allclose(table[x], expected, atol=1e-13)
+
+    def test_conditional_velocities_with_large_row_offsets(self):
+        # A statistic whose rows carry large offsets: its centred x-sections
+        # at the origin are the row noise centred under p2.
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 87])
+            p1 = sb.random_density(sb.make_space(rng.uniform(0.2, 2.0, 3)), rng)
+            p2 = sb.random_density(sb.make_space(rng.uniform(0.2, 2.0, 4)), rng)
+            noise = rng.standard_normal((3, 4))
+            raw = noise + 1e4 * rng.standard_normal(3)[:, None]
+            fam = sb.make_expfam(p1, p2, raw[None])
+            weights = p2.values * p2.space.weights
+            expected = noise - (noise @ weights)[:, None]
+            np.testing.assert_allclose(
+                sb.conditional_velocities(fam, [0.0], [1.0]), expected,
+                rtol=0.0, atol=1e-9,
+            )
 
     def test_each_velocity_evaluates_the_member_once(self, monkeypatch):
         fam = random_family(3, 4, 2, 86)
