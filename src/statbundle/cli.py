@@ -109,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="exponential-family JSON file")
     p.add_argument("--target", required=True, help="target margin density JSON file")
     p.add_argument("--mode", choices=("left", "right"), default="left")
-    p.add_argument("--theta0", type=_floats, default=[0.0],
-                   help="comma-separated starting parameter")
+    p.add_argument("--theta0", type=_floats, default=None,
+                   help="comma-separated starting parameter (default: the "
+                        "family's origin, its base product density)")
     p.add_argument("--step", type=_positive_float, default=0.5)
     p.add_argument("--iters", type=_positive_int, default=200)
     p.add_argument("--tol", type=_positive_float, default=1e-8,
@@ -173,6 +174,8 @@ def run_flow(family_path, target_path, mode, theta0, step, iters, tol, out_dir) 
     out = Path(out_dir)
     family = fileio.load_family(family_path)
     target = fileio.load_density(target_path)
+    if theta0 is None:
+        theta0 = [0.0] * family.dim
     trace = natural_gradient_flow(
         family, theta0, target, mode=mode, step=step, iters=iters, tol=tol
     )

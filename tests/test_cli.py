@@ -219,6 +219,28 @@ class TestFlowCommand:
         assert all(a >= b for a, b in zip(objectives, objectives[1:]))
         assert int(rows[-1][0]) <= 200
 
+    def test_theta0_defaults_to_the_family_origin(self, tmp_path, capsys):
+        # A d = 2 family on a 3x2 space: without --theta0 the flow starts
+        # at theta = (0, 0), the base product density.
+        third = {"weights": [1 / 3, 1 / 3, 1 / 3]}
+        family = tmp_path / "family.json"
+        fileio.write_json(family, {
+            "left": third, "right": {"weights": [0.5, 0.5]},
+            "base1": [1.0, 1.0, 1.0], "base2": [1.0, 1.0],
+            "stats": [[[1.0, 1.0], [0.0, 0.0], [-1.0, -1.0]],
+                      [[0.0, 0.0], [1.0, 1.0], [-1.0, -1.0]]],
+        })
+        target = tmp_path / "target.json"
+        fileio.write_json(target, {"space": third, "values": [1.2, 1.0, 0.8]})
+        out = tmp_path / "flow"
+        rc = main(["flow", "--family", str(family), "--target", str(target),
+                   "--tol", "1e-6", "--out", str(out)])
+        assert rc == 0
+        assert "stop_reason=converged" in capsys.readouterr().out
+        header, rows = read_csv(out / "trace.csv")
+        assert header[1:3] == ["theta_0", "theta_1"]
+        assert [float(t) for t in rows[0][1:3]] == [0.0, 0.0]
+
     def test_iteration_cap_exits_nonzero(self, tmp_path, capsys):
         family = write_fixture(tmp_path, "margin_family.json")
         target = write_fixture(tmp_path, "flow_target.json")
