@@ -116,11 +116,8 @@ def common_param_gradient(M: Density, N: Density, dlogM, dlogN) -> np.ndarray:
     mu = M.space.weights.ravel()
     mvals = M.values.ravel()
     nvals = N.values.ravel()
+    shape = (len(dM), mvals.size)
     logratio = np.log(mvals) - np.log(nvals)
-    gap = nvals - mvals
-    out = np.empty(len(dM))
-    for j, (a, b) in enumerate(zip(dM, dN)):
-        out[j] = float(np.sum(mu * logratio * mvals * a.ravel())) + float(
-            np.sum(mu * gap * b.ravel())
-        )
-    return out
+    return np.sum(mu * logratio * mvals * np.reshape(dM, shape), axis=1) + np.sum(
+        mu * (nvals - mvals) * np.reshape(dN, shape), axis=1
+    )

@@ -334,8 +334,6 @@ def natural_gradient_flow(
     g = density(family, theta)
     g1 = marginalize(g)
     objective = objective_of(g1)
-    if not math.isfinite(objective):
-        raise ArithmeticError(f"non-finite objective {objective!r} at theta0")
     records: list[FlowRecord] = []
     iteration, trial_step, halvings = 0, step, 0
     while True:
