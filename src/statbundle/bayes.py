@@ -79,19 +79,14 @@ def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
 
 
 def _centred_rows(rows: np.ndarray, cond: np.ndarray, mu2: np.ndarray) -> np.ndarray:
-    """v(x, .) - E[v(x, .) | X = x] for each row x of a block, each row
-    validated as a fiber vector at cond[x] (or at cond, a single density).
-
-    As in :func:`~statbundle.core.center`, a large row offset can leave a
-    residual mean beyond the fiber tolerance; the block is then centred
-    once more.
-    """
+    """v(x, .) - E[v(x, .) | X = x] for each row x of a block, validated as
+    fiber rows at ``cond``; centred again, as ``center`` does, where a large
+    row offset leaves a residual mean beyond the tolerance."""
     centred = rows - np.sum(rows * cond * mu2, axis=1)[:, None]
     try:
         return _fiber_rows(cond, mu2, centred)
     except StatBundleError:
-        pass
-    centred = centred - np.sum(centred * cond * mu2, axis=1)[:, None]
+        centred = centred - np.sum(centred * cond * mu2, axis=1)[:, None]
     return _fiber_rows(cond, mu2, centred)
 
 

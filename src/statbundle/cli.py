@@ -110,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target margin density JSON file")
     p.add_argument("--mode", choices=("left", "right"), default="left")
     p.add_argument("--theta0", type=_floats, default=None,
-                   help="comma-separated starting parameter (default: the "
-                        "family's origin, its base product density)")
+                   help="comma-separated starting parameter (default: zeros)")
     p.add_argument("--step", type=_positive_float, default=0.5)
     p.add_argument("--iters", type=_positive_int, default=200)
     p.add_argument("--tol", type=_positive_float, default=1e-8,

@@ -98,8 +98,7 @@ def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
     w = (p12.values * p12.space.weights).ravel()
     flat = arr.reshape(arr.shape[0], -1)
     centered = flat - (flat @ w)[:, None]
-    # The rounding error of the mean grows with the statistics' offset, so
-    # a large offset leaves a residual mean that the members would reject.
+    # A large offset leaves a rounding residual mean that members reject.
     residual = centered @ w
     if (np.abs(residual) > FIBER_ATOL).any():
         centered -= residual[:, None]
@@ -184,12 +183,9 @@ def conditional_velocities(family: ExpFamily, theta, thetadot) -> np.ndarray:
 
 
 def _moments(family: ExpFamily, g: Density) -> tuple[np.ndarray, np.ndarray]:
-    """The row sums S[j, x] = sum_y T_j(x, y) G(x, y) mu2(y) as a (d, n1)
-    table, and E_G[T] = sum_x S[j, x] mu1(x) by the tower property.
-
-    One contraction that allocates nothing of the statistics' (d, n1, n2)
-    size.  E_G[T_j | X = x] is S[j, x] / G1(x).
-    """
+    """The (d, n1) row sums S[j, x] = sum_y T_j(x, y) G(x, y) mu2(y), in one
+    contraction that allocates nothing of the statistics' (d, n1, n2) size,
+    and E_G[T] = S @ mu1; E_G[T_j | X = x] is S[j, x] / G1(x)."""
     mu2 = family.space.right.weights
     sums = np.einsum("jxy,xy->jx", family.stats, g.values * mu2)
     return sums, sums @ family.space.left.weights
