@@ -67,9 +67,18 @@ def cumulant(p: Density, u: FiberVector) -> float:
     exponential is 0, so the result is finite.
     """
     _require_same_base(u, p)
-    vals = u.values.ravel()
+    return _cumulant(p, u.values)
+
+
+def _cumulant(p: Density, u: np.ndarray) -> float:
+    """K_p(u) of an array u of p's shape.  Adding a constant to u adds it
+    to K_p(u), so u need not be centred; an entry +inf or NaN raises
+    :class:`StatBundleError`."""
+    vals = u.ravel()
     w = (p.values * p.space.weights).ravel()
     m = float(vals.max())
+    if not math.isfinite(m):
+        raise StatBundleError("exponent contains a non-finite entry")
     with np.errstate(over="ignore"):
         shifted = vals - m
     s = float((w * np.exp(shifted)).sum())
@@ -88,26 +97,44 @@ def exp_chart(p: Density, q: Density) -> FiberVector:
 def exp_chart_inv(p: Density, v: FiberVector) -> Density:
     """Inverse exponential chart: exp(v - K_p(v)) * p.
 
-    One exponential: e = exp(v - max v) * p divided by its own mass
-    sum(e * mu), which is exp(K_p(v) - max v) in real arithmetic.  Where
-    that could lose an entry -- exp(v - max v) underflows, or the mass is
-    so small that an entry of e below the normal float range could still
-    normalise above the positivity floor -- the cumulant is subtracted
-    before the exponential, as the formula reads.  On that path the
-    cumulant normalizes exactly in real arithmetic; residual float drift
-    is divided out, and drift beyond 1e-10 is rejected as a bug.  An entry
-    that leaves the model, as where a spread of v beyond the float range
-    takes v - K to -inf, raises the :class:`BoundaryError` of
+    Computed by ``_exp_chart_inv``, which :func:`~statbundle.expfam.density`
+    shares.  One exponential: e = exp(v - max v) * p divided by its own
+    mass sum(e * mu), which is exp(K_p(v) - max v) in real arithmetic.
+    Where that could lose an entry -- exp(v - max v) underflows, or the
+    mass is so small that an entry of e below the normal float range could
+    still normalise above the positivity floor -- the cumulant is
+    subtracted before the exponential, as the formula reads.  On that path
+    the cumulant normalizes exactly in real arithmetic; residual float
+    drift is divided out, and drift beyond 1e-10 is rejected as a bug.  An
+    entry that leaves the model, as where a spread of v beyond the float
+    range takes v - K to -inf, raises the :class:`BoundaryError` of
     :class:`Density` first.  Each path computes in one array, which the
     member adopts.
     """
     _require_same_base(v, p)
+    return _exp_chart_inv(p, v.values)
+
+
+def _exp_chart_inv(p: Density, u: np.ndarray) -> Density:
+    """exp(u - K_p(u)) * p for an array u of p's shape, by the paths of
+    :func:`exp_chart_inv`.  The member does not change when a constant is
+    added to u, so u need not be centred.
+
+    A writeable u is taken as scratch, which the member adopts: a path
+    computes in it once the fallback can no longer need it.  A read-only u
+    is never written.
+    """
     weights = p.space.weights.ravel()
-    top = v.values.max()
-    # min(v - max v), as Python floats: -inf, silently, for a spread beyond
+    top_at = int(u.argmax())
+    top = u.flat[top_at]
+    # min(u - max u), as Python floats: -inf, silently, for a spread beyond
     # the float range, which the fallback turns into a BoundaryError.
-    if float(v.values.min()) - float(top) > _LOG_TINY:
-        vals = v.values - top
+    if float(u.min()) - float(top) > _LOG_TINY:
+        # e is p at the top of u, so its mass is at least p * mu there: where
+        # that clears the floor, this path returns and the fallback never runs.
+        least = float(p.values.flat[top_at] * weights[top_at])
+        owned = u.flags.writeable and least * POSITIVITY_FLOOR >= _TINY
+        vals = np.subtract(u, top, out=u if owned else None)
         np.exp(vals, out=vals)
         vals *= p.values
         mass = float(np.dot(vals.ravel(), weights))
@@ -115,7 +142,7 @@ def exp_chart_inv(p: Density, v: FiberVector) -> Density:
             vals /= mass
             return Density(p.space, _frozen(vals))
     with np.errstate(over="ignore"):
-        vals = v.values - cumulant(p, v)
+        vals = np.subtract(u, _cumulant(p, u), out=u if u.flags.writeable else None)
     np.exp(vals, out=vals)
     vals *= p.values
     mass = float(np.dot(vals.ravel(), weights))

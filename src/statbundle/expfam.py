@@ -3,7 +3,13 @@
 A family is ``G(theta) = exp(theta . T - psi(theta)) * p1 (x) p2`` with
 statistics T_j centered under the base product density, so the whole of
 R^d is a valid parameter domain and ``psi`` is the base cumulant of
-``theta . T``.  Consequences used throughout:
+``theta . T``.  :func:`make_expfam` checks that centring once.  The member
+and ``psi`` do not change when a constant is added to ``theta . T``, so
+:func:`density` and :func:`psi` compute from the array ``theta . T``
+directly, by the arithmetic of the inverse exponential chart and the
+cumulant of :mod:`~statbundle.charts`, with no fiber vector in between;
+each member is checked as every :class:`~statbundle.core.Density` is.
+Consequences used throughout:
 
 * psi(theta) = D(p1 (x) p2 || G(theta)) and grad psi(theta) = E_G[T];
 * the model velocity is (T - E_G[T]) . thetadot; the velocities of its
@@ -48,7 +54,7 @@ from .core import (
     _frozen,
     product_density,
 )
-from .charts import exp_chart_inv, cumulant
+from .charts import _cumulant, _exp_chart_inv
 from .divergence import kl
 from .bayes import conditional_derivatives, marginal_derivative, marginalize
 
@@ -131,23 +137,27 @@ def _combine(family: ExpFamily, coef: np.ndarray) -> np.ndarray:
     return flat.reshape(stats.shape[1:])
 
 
-def _natural_statistic(family: ExpFamily, theta: np.ndarray) -> FiberVector:
-    return FiberVector(family.base12, _frozen(_combine(family, theta)), "exponential")
-
-
 def psi(family: ExpFamily, theta) -> float:
     """Cumulant psi(theta) = log E_base[exp(theta . T)]; convex, psi(0) = 0.
 
     Equals D(p1 (x) p2 || G(theta)) because the statistics are centered.
+    Computed from the array theta . T directly, by the arithmetic of
+    :func:`~statbundle.charts.cumulant`.
     """
     theta = _check_theta(family, theta)
-    return cumulant(family.base12, _natural_statistic(family, theta))
+    return _cumulant(family.base12, _combine(family, theta))
 
 
 def density(family: ExpFamily, theta) -> Density:
-    """The family member G(theta) = exp(theta . T - psi(theta)) * base."""
+    """The family member G(theta) = exp(theta . T - psi(theta)) * base.
+
+    The inverse exponential chart of theta . T, computed from the array
+    theta . T directly, in place, by the arithmetic of
+    :func:`~statbundle.charts.exp_chart_inv`; the member is checked as
+    every :class:`Density` is.
+    """
     theta = _check_theta(family, theta)
-    return exp_chart_inv(family.base12, _natural_statistic(family, theta))
+    return _exp_chart_inv(family.base12, _combine(family, theta))
 
 
 def grad_psi(family: ExpFamily, theta) -> np.ndarray:
@@ -339,10 +349,11 @@ def natural_gradient_flow(
             direction = np.linalg.solve(fisher, grad)
         except np.linalg.LinAlgError:
             direction = np.full_like(grad, np.nan)  # stops as "boundary"
-        step_norm = float(np.linalg.norm(direction))
+        # The 2-norm as np.linalg.norm computes it for a 1-d float array.
+        step_norm = math.sqrt(float(direction @ direction))
         records.append(
             FlowRecord(
-                iteration, theta, objective, float(np.linalg.norm(grad)),
+                iteration, theta, objective, math.sqrt(float(grad @ grad)),
                 trial_step, halvings, step_norm,
             )
         )
@@ -361,7 +372,7 @@ def natural_gradient_flow(
             try:
                 with np.errstate(over="raise"):
                     candidate = _frozen(theta - trial_step * direction)
-                    if np.array_equal(candidate, theta):
+                    if (candidate == theta).all():
                         return FlowTrace(records, mode, "stalled")
                     cand_g = density(family, candidate)
             except (BoundaryError, NormalizationError, FloatingPointError):

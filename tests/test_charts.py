@@ -140,22 +140,30 @@ class TestExpChartInvFallback:
         p, v, expected = _lossy_inputs()[case]
         np.testing.assert_array_equal(sb.exp_chart_inv(p, v).values, expected)
 
+    @pytest.mark.parametrize("case", ["spread", "subnormal", "small-mass"])
+    def test_a_scratch_array_gives_the_same_member(self, case):
+        # density hands over an array the inverse chart may compute in; the
+        # fallback still needs it after the one-exponential path gave up.
+        p, v, expected = _lossy_inputs()[case]
+        got = sb.charts._exp_chart_inv(p, v.values.copy()).values
+        np.testing.assert_array_equal(got, expected)
+
     def test_drift_is_rejected_on_the_fallback(self, monkeypatch):
         p, v, _ = _lossy_inputs()["spread"]
-        exact = sb.charts.cumulant
-        monkeypatch.setattr(sb.charts, "cumulant", lambda q, u: exact(q, u) + 1e-9)
+        exact = sb.charts._cumulant
+        monkeypatch.setattr(sb.charts, "_cumulant", lambda q, u: exact(q, u) + 1e-9)
         with pytest.raises(sb.NormalizationError, match="inverse-chart drift"):
             sb.exp_chart_inv(p, v)
 
     def test_cumulant_is_called_only_on_the_fallback(self, monkeypatch, diag_family):
         calls = []
-        exact = sb.charts.cumulant
+        exact = sb.charts._cumulant
 
         def counting(q, u):
             calls.append(1)
             return exact(q, u)
 
-        monkeypatch.setattr(sb.charts, "cumulant", counting)
+        monkeypatch.setattr(sb.charts, "_cumulant", counting)
         sb.density(diag_family, [0.7])
         space = sb.ProductSpace(sb.make_space(np.linspace(0.4, 1.2, 6)),
                                 sb.make_space(np.linspace(0.5, 1.5, 5)))
@@ -183,6 +191,10 @@ class TestExpChartInvInPlace:
             expected = e / float(np.dot(e, space.weights))
             got = sb.exp_chart_inv(p, v).values
             assert got.tobytes() == expected.tobytes()
+            scratch = v.values.copy()
+            got = sb.charts._exp_chart_inv(p, scratch).values
+            assert got.tobytes() == expected.tobytes()
+            assert np.shares_memory(got, scratch)
 
     def test_fast_path_has_the_bits_of_the_plain_formula_on_joints(self):
         rng = np.random.default_rng(200200)

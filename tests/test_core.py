@@ -827,7 +827,7 @@ class TestAdoption:
         )
         theta = rng.uniform(-1.0, 1.0, 3)
         g = sb.density(fam, theta)
-        u = sb.expfam._natural_statistic(fam, theta)
+        u = sb.joint_velocity(fam, theta, theta)
         g1 = sb.marginalize(g)
         for arr in (g.values, u.values, g1.values):
             assert sb.core._freeze(arr) is arr

@@ -265,7 +265,7 @@ def test_joint_densities_per_instance_do_not_grow_with_n1(monkeypatch, check):
 
 def _family_evaluations(monkeypatch, check, n1, seed=7):
     return _instance_calls(
-        monkeypatch, sb.expfam, "exp_chart_inv", lambda *args: True, check, n1, seed
+        monkeypatch, sb.expfam, "_exp_chart_inv", lambda *args: True, check, n1, seed
     )
 
 
@@ -274,7 +274,7 @@ def test_family_evaluations_per_velocity_instance_do_not_grow_with_n1(monkeypatc
         _family_evaluations(monkeypatch, verify._check_velocities_fd, n1)
         for n1 in (4, 16)
     ]
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
 def test_velocity_check_evaluates_each_probe_member_once(monkeypatch):
