@@ -419,7 +419,7 @@ _SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.5, 1e-301, 1e-300)
 def blocks(draw):
     """A (k, n) block of density rows over weights, and one of fiber rows
     over those densities, with injected non-finite, sub-floor, off-mass and
-    uncentred entries."""
+    uncentred entries, and a row offset of up to 1e8."""
     k, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = rng.uniform(0.2, 2.0, n)
@@ -429,7 +429,8 @@ def blocks(draw):
     fiber -= ((fiber * dens * weights).sum(axis=1) / (dens @ weights))[:, None]
     row = draw(st.integers(0, k - 1))
     dens[row] *= 1.0 + draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-7, 1e-6, 1e-3]))
-    fiber[row] += draw(st.sampled_from([0.0, 1e-14, 1e-11, 1e-6, 1.0]))
+    # An offset from 1e4 on leaves a residual mean after one centring pass.
+    fiber[row] += draw(st.sampled_from([0.0, 1e-14, 1e-11, 1e-6, 1.0, 1e4, 1e6, 1e8]))
     for block in (dens, fiber):
         for _ in range(draw(st.integers(0, 2))):
             at = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
