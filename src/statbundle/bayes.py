@@ -78,16 +78,24 @@ def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
     return FiberVector(q1, _frozen(vals), v.polarity)
 
 
+def _fiber_rows_recentred(
+    rows: np.ndarray, cond: np.ndarray, mu2: np.ndarray
+) -> np.ndarray:
+    """The rows of a block, centred in real arithmetic, validated as fiber
+    rows at ``cond``; centred once more, as ``center`` does, where a large
+    row offset leaves a residual mean beyond the tolerance."""
+    try:
+        return _fiber_rows(cond, mu2, rows)
+    except StatBundleError:
+        rows = rows - np.sum(rows * cond * mu2, axis=1)[:, None]
+    return _fiber_rows(cond, mu2, rows)
+
+
 def _centred_rows(rows: np.ndarray, cond: np.ndarray, mu2: np.ndarray) -> np.ndarray:
     """v(x, .) - E[v(x, .) | X = x] for each row x of a block, validated as
-    fiber rows at ``cond``; centred again, as ``center`` does, where a large
-    row offset leaves a residual mean beyond the tolerance."""
+    fiber rows at ``cond`` by :func:`_fiber_rows_recentred`."""
     centred = rows - np.sum(rows * cond * mu2, axis=1)[:, None]
-    try:
-        return _fiber_rows(cond, mu2, centred)
-    except StatBundleError:
-        centred = centred - np.sum(centred * cond * mu2, axis=1)[:, None]
-    return _fiber_rows(cond, mu2, centred)
+    return _fiber_rows_recentred(centred, cond, mu2)
 
 
 def conditionals(q12: Density) -> np.ndarray:
@@ -126,8 +134,9 @@ def condition_chart_derivatives(
 
         (h(x, .) - m_h - F_x(v) * m_h) / (1 + m_v),
 
-    each row validated as a fiber vector at p2.  Together with the two
-    mixture transports this reproduces :func:`conditional_derivatives`.
+    each row validated as a fiber vector at p2, and centred once more where
+    a large offset of h's rows leaves a residual mean.  Together with the
+    two mixture transports this reproduces :func:`conditional_derivatives`.
     """
     p12 = product_density(p1, p2)
     _require_same_base(v, p12)
@@ -144,7 +153,7 @@ def condition_chart_derivatives(
     fx = (v.values - m[:, None]) / denom[:, None]
     m_h = np.sum(h.values * p2.values * p2.space.weights, axis=1)[:, None]
     rows = (h.values - m_h - fx * m_h) / denom[:, None]
-    return _frozen(_fiber_rows(p2.values, p2.space.weights, rows))
+    return _frozen(_fiber_rows_recentred(rows, p2.values, p2.space.weights))
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,31 @@ class TestConditioningInCharts:
         with pytest.raises(sb.BoundaryError, match="leaves the model"):
             sb.condition_chart_derivatives(p, p, v, h)
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_large_row_offsets_are_centred(self, offset):
+        # At v = 0 row x is the centred section of h, whose large offset
+        # leaves a residual mean after the one subtraction of m_h.
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 31])
+            space = sb.ProductSpace(
+                sb.make_space(rng.uniform(0.2, 2.0, 3)),
+                sb.make_space(rng.uniform(0.2, 2.0, 3)),
+            )
+            p1 = sb.random_density(space.left, rng)
+            p2 = sb.random_density(space.right, rng)
+            p12 = sb.product_density(p1, p2)
+            noise = rng.standard_normal((3, 3))
+            h = sb.center(
+                p12, noise + offset * np.array([1.0, -1.0, 0.5])[:, None], "mixture"
+            )
+            zero = sb.FiberVector(p12, np.zeros((3, 3)), "mixture")
+            weights = p2.values * space.right.weights
+            expected = noise - (noise @ weights)[:, None]
+            np.testing.assert_allclose(
+                sb.condition_chart_derivatives(p1, p2, zero, h), expected,
+                rtol=0.0, atol=1e-8,
+            )
+
     def test_derivative_matches_fd(self):
         left = sb.make_space([0.6, 1.4])
         right = sb.make_space([0.9, 1.1, 0.7])
