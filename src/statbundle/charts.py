@@ -71,20 +71,27 @@ def cumulant(p: Density, u: FiberVector) -> float:
 
 
 def _cumulant(p: Density, u: np.ndarray) -> float:
-    """K_p(u) of an array u of p's shape.  Adding a constant to u adds it
+    """K_p(u) of an array u of p's shape, as max u plus the log of the mass
+    of the tilt at max u; u is not written.  Adding a constant to u adds it
     to K_p(u), so u need not be centred; an entry +inf or NaN raises
     :class:`StatBundleError`."""
-    vals = u.ravel()
-    w = (p.values * p.space.weights).ravel()
-    m = float(vals.max())
+    m = float(u.max())
     if not math.isfinite(m):
         raise StatBundleError("exponent contains a non-finite entry")
     with np.errstate(over="ignore"):
-        shifted = vals - m
-    s = float((w * np.exp(shifted)).sum())
-    # Dividing by sum(w) rather than 1 pins cumulant(p, 0) == 0 exactly,
-    # even when the weights only sum to 1 up to float round-off.
-    return float(m + np.log(s) - np.log(float(w.sum())))
+        shifted = u - m
+    # Dividing by the mass of p rather than 1 pins cumulant(p, 0) == 0
+    # exactly, even when it is 1 only up to float round-off.
+    base = float(np.dot(p.values.ravel(), p.space.weights.ravel()))
+    return float(m + np.log(_tilt(p, shifted)[1]) - np.log(base))
+
+
+def _tilt(p: Density, e: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(e) * p, computed in the array e, and its mass sum(exp(e) * p * mu):
+    the one tilt of the inverse chart, the cumulant and the structural equation."""
+    np.exp(e, out=e)
+    e *= p.values
+    return e, float(np.dot(e.ravel(), p.space.weights.ravel()))
 
 
 def exp_chart(p: Density, q: Density) -> FiberVector:
@@ -124,7 +131,6 @@ def _exp_chart_inv(p: Density, u: np.ndarray) -> Density:
     computes in it once the fallback can no longer need it.  A read-only u
     is never written.
     """
-    weights = p.space.weights.ravel()
     top_at = int(u.argmax())
     top = u.flat[top_at]
     # min(u - max u), as Python floats: -inf, silently, for a spread beyond
@@ -132,20 +138,15 @@ def _exp_chart_inv(p: Density, u: np.ndarray) -> Density:
     if float(u.min()) - float(top) > _LOG_TINY:
         # e is p at the top of u, so its mass is at least p * mu there: where
         # that clears the floor, this path returns and the fallback never runs.
-        least = float(p.values.flat[top_at] * weights[top_at])
+        least = float(p.values.flat[top_at] * p.space.weights.flat[top_at])
         owned = u.flags.writeable and least * POSITIVITY_FLOOR >= _TINY
-        vals = np.subtract(u, top, out=u if owned else None)
-        np.exp(vals, out=vals)
-        vals *= p.values
-        mass = float(np.dot(vals.ravel(), weights))
+        vals, mass = _tilt(p, np.subtract(u, top, out=u if owned else None))
         if mass * POSITIVITY_FLOOR >= _TINY:
             vals /= mass
             return Density(p.space, _frozen(vals))
     with np.errstate(over="ignore"):
         vals = np.subtract(u, _cumulant(p, u), out=u if u.flags.writeable else None)
-    np.exp(vals, out=vals)
-    vals *= p.values
-    mass = float(np.dot(vals.ravel(), weights))
+    vals, mass = _tilt(p, vals)
     vals /= mass
     member = Density(p.space, _frozen(vals))
     if abs(mass - 1.0) > INVERSE_CHART_DRIFT_LIMIT:
@@ -231,6 +232,4 @@ def mixture_curve(q: Density, w: FiberVector) -> Curve:
 def exponential_curve(p: Density, u: FiberVector) -> Curve:
     """The one-parameter exponential family t -> exp(t*u - K_p(t*u)) * p."""
     _require_same_base(u, p)
-    return Curve(
-        at=lambda t: exp_chart_inv(p, FiberVector(p, _frozen(t * u.values)))
-    )
+    return Curve(at=lambda t: _exp_chart_inv(p, t * u.values))

@@ -28,7 +28,7 @@ from .core import (
     center,
     pairing,
 )
-from .charts import exp_chart
+from .charts import _tilt, exp_chart
 
 
 def _kl_rows(mu: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -58,7 +58,7 @@ def structural_reconstruct(p: Density, q: Density) -> Density:
     """
     _require_same_space(p.space, q.space)
     s = exp_chart(p, q)
-    return Density(p.space, _frozen(np.exp(s.values - kl(p, q)) * p.values))
+    return Density(p.space, _frozen(_tilt(p, s.values - kl(p, q))[0]))
 
 
 def grad1_kl(q: Density, r: Density) -> FiberVector:

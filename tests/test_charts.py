@@ -209,6 +209,20 @@ class TestExpChartInvInPlace:
             assert got.tobytes() == expected.tobytes()
 
 
+class TestExponentialCurve:
+    def test_members_have_the_bits_of_the_inverse_chart(self):
+        # a member is the inverse chart of t * u, with no fiber vector built
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 60):
+            space = sb.make_space(rng.uniform(0.2, 2.0, n))
+            p = sb.random_density(space, rng)
+            u = sb.center(p, rng.standard_normal(n) * rng.uniform(0.1, 30.0))
+            curve = sb.exponential_curve(p, u)
+            for t in rng.uniform(-3.0, 3.0, 10):
+                expected = sb.exp_chart_inv(p, sb.FiberVector(p, t * u.values))
+                assert curve(t).values.tobytes() == expected.values.tobytes()
+
+
 class TestSpreadBeyondTheFloatRange:
     """v = (a, -a) at uniform p on mu = (1/2, 1/2): v - max v reaches -2a,
     beyond the float range from a = 1e308 on.  The member's second entry is

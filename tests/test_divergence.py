@@ -92,6 +92,18 @@ class TestStructuralEquation:
         back = sb.structural_reconstruct(p, q)
         np.testing.assert_allclose(back.values, q.values, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2,), (7,), (60,), (20, 30)])
+    def test_has_the_bits_of_the_plain_formula(self, shape):
+        # exp(s_p(q) - D(p||q)) * p, each operation in that order
+        rng = np.random.default_rng([29, *shape])
+        spaces = [sb.make_space(rng.uniform(0.2, 2.0, n)) for n in shape]
+        space = spaces[0] if len(spaces) == 1 else sb.ProductSpace(*spaces)
+        for _ in range(20):
+            p, q = sb.random_density(space, rng), sb.random_density(space, rng)
+            expected = np.exp(sb.exp_chart(p, q).values - sb.kl(p, q)) * p.values
+            got = sb.structural_reconstruct(p, q).values
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestSlotGradients:
     def test_vanish_on_diagonal(self, two_point):

@@ -218,14 +218,25 @@ def family_200x200(seed):
 
 class TestTransientMemory:
     # A member is computed in the one full-size buffer that holds theta . T,
-    # which the Density adopts; one more full-size copy or temporary brings
-    # the peak over the bound.
+    # which the Density adopts; psi holds theta . T and its tilt, cumulant
+    # the tilt alone.  One more full-size copy or temporary brings the peak
+    # over the bound.
     FULL = 200 * 200 * 8
 
     def test_density(self):
         fam, _ = family_200x200(31)
         theta = np.array([0.3, -0.2, 0.1])
         assert traced_peak(lambda: sb.density(fam, theta)) <= 1.5 * self.FULL
+
+    def test_psi(self):
+        fam, _ = family_200x200(31)
+        theta = np.array([0.3, -0.2, 0.1])
+        assert traced_peak(lambda: sb.psi(fam, theta)) <= 2.5 * self.FULL
+
+    def test_cumulant(self):
+        fam, _ = family_200x200(31)
+        u = sb.FiberVector(fam.base12, fam.stats[0])
+        assert traced_peak(lambda: sb.cumulant(fam.base12, u)) <= 1.5 * self.FULL
 
     def test_flow(self):
         fam, target = family_200x200(32)
