@@ -89,8 +89,11 @@ def _as_float_array(values, name: str) -> np.ndarray:
 
 
 def _as_int(value, name: str) -> int:
-    """``value`` as an int if it is an integer, numpy integers included."""
+    """``value`` as an int if it is an integer, numpy integers included;
+    booleans are not."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise StatBundleError(f"{name} must be an integer, not {value!r}") from None

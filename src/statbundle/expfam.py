@@ -92,7 +92,7 @@ def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
 
     Raises :class:`IdentifiabilityError` when the Gram matrix of the
     centered statistics under the base pairing has an eigenvalue at or
-    below 1e-10.
+    below 1e-10, and :class:`StatBundleError` when there is no statistic.
     """
     p12 = product_density(p1, p2)
     arr = _as_float_array(raw_stats, "statistics")
@@ -101,6 +101,8 @@ def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
             f"statistics shape {arr.shape} does not match product shape "
             f"{p12.space.shape}"
         )
+    if arr.shape[0] == 0:
+        raise StatBundleError("an exponential family needs at least 1 statistic")
     w = (p12.values * p12.space.weights).ravel()
     flat = arr.reshape(arr.shape[0], -1)
     centered = flat - (flat @ w)[:, None]

@@ -90,6 +90,11 @@ class TestMakeExpFamily:
         with pytest.raises(sb.MismatchError, match=r"statistics shape \(2, 2\)"):
             sb.make_expfam(p, p, [[1.0, -1.0], [-1.0, 1.0]])
 
+    def test_no_statistics(self, half_space):
+        p = sb.uniform_density(half_space)
+        with pytest.raises(sb.StatBundleError, match="at least 1 statistic"):
+            sb.make_expfam(p, p, np.zeros((0, 2, 2)))
+
 
 class TestPsi:
     def test_zero_at_origin(self, diag_family):
@@ -613,7 +618,7 @@ class TestFlow:
             sb.natural_gradient_flow(margin_family, [1.0], other)
         # a fractional or infinite budget is never met by the integer
         # iteration count, so the cap would never fire
-        for iters in (2.5, math.inf, 3.0, "3"):
+        for iters in (2.5, math.inf, 3.0, "3", True):
             with pytest.raises(sb.StatBundleError, match="iters must be an integer"):
                 sb.natural_gradient_flow(margin_family, [1.0], r1, iters=iters)
         # tol = inf would report convergence at iteration 0; tol <= 0 or

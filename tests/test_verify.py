@@ -63,11 +63,11 @@ def test_config_validation():
     with pytest.raises(sb.StatBundleError):
         run_verification(trials=1, names=[])
     for name in ("seed", "trials"):
-        for value in (2.5, 2.0, float("inf"), "2", None):
+        for value in (2.5, 2.0, float("inf"), "2", None, True):
             with pytest.raises(sb.StatBundleError, match=f"{name} must be an integer"):
                 run_verification(names=["kl-chain"], **{name: value})
     # a fractional size used to be truncated, and a string parsed
-    for sizes in ([(2.7, 3)], [(2, 3.0)], [("2", "3")]):
+    for sizes in ([(2.7, 3)], [(2, 3.0)], [("2", "3")], [(2, True)]):
         with pytest.raises(sb.StatBundleError, match="size must be an integer"):
             run_verification(trials=1, sizes=sizes, names=["kl-chain"])
 
