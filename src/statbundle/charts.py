@@ -3,7 +3,10 @@
 The exponential chart at ``p`` sends ``q`` to the centered log-likelihood
 ratio ``log(q/p) - E_p[log(q/p)]``; the mixture chart sends ``q`` to
 ``q/p - 1``.  Their inverses are ``v -> exp(v - K_p(v)) * p`` and
-``w -> (1 + w) * p``, with ``K_p`` the cumulant ``log E_p[exp(.)]``.  The
+``w -> (1 + w) * p``, with ``K_p`` the cumulant ``log E_p[exp(.)]``.  Both
+the exponential inverse and the cumulant are read off one tilt of p,
+``exp(v - c) * p`` for a constant c, and its mass, which ``_tilt`` computes
+for them and for :func:`~statbundle.divergence.structural_reconstruct`.  The
 exponential transport subtracts the target expectation; the mixture
 transport multiplies by the density ratio.  Together these satisfy the
 affine displacement axioms, which makes the velocity of a density curve in
@@ -60,7 +63,8 @@ class Curve:
 
 
 def cumulant(p: Density, u: FiberVector) -> float:
-    """K_p(u) = log E_p[exp(u)], max-shift stabilized.
+    """K_p(u) = log E_p[exp(u)], max-shift stabilized: max u plus the log
+    of the mass of the tilt exp(u - max u) * p, over the mass of p.
 
     Nonnegative, zero exactly at u = 0 (strict convexity of exp).  A
     spread of u beyond the float range takes u - max u to -inf, whose
@@ -105,18 +109,18 @@ def exp_chart_inv(p: Density, v: FiberVector) -> Density:
     """Inverse exponential chart: exp(v - K_p(v)) * p.
 
     Computed by ``_exp_chart_inv``, which :func:`~statbundle.expfam.density`
-    shares.  One exponential: e = exp(v - max v) * p divided by its own
-    mass sum(e * mu), which is exp(K_p(v) - max v) in real arithmetic.
+    shares.  One exponential: the tilt e = exp(v - max v) * p divided by its
+    own mass sum(e * mu), which is exp(K_p(v) - max v) in real arithmetic.
     Where that could lose an entry -- exp(v - max v) underflows, or the
     mass is so small that an entry of e below the normal float range could
     still normalise above the positivity floor -- the cumulant is
-    subtracted before the exponential, as the formula reads.  On that path
-    the cumulant normalizes exactly in real arithmetic; residual float
-    drift is divided out, and drift beyond 1e-10 is rejected as a bug.  An
-    entry that leaves the model, as where a spread of v beyond the float
-    range takes v - K to -inf, raises the :class:`BoundaryError` of
-    :class:`Density` first.  Each path computes in one array, which the
-    member adopts.
+    subtracted before the exponential, as the formula reads, and the tilt
+    is exp(v - K_p(v)) * p.  On that path the cumulant normalizes exactly
+    in real arithmetic; residual float drift is divided out, and drift
+    beyond 1e-10 is rejected as a bug.  An entry that leaves the model, as
+    where a spread of v beyond the float range takes v - K to -inf, raises
+    the :class:`BoundaryError` of :class:`Density` first.  Each path
+    computes in one array, which the member adopts.
     """
     _require_same_base(v, p)
     return _exp_chart_inv(p, v.values)

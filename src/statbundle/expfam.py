@@ -3,12 +3,14 @@
 A family is ``G(theta) = exp(theta . T - psi(theta)) * p1 (x) p2`` with
 statistics T_j centered under the base product density, so the whole of
 R^d is a valid parameter domain and ``psi`` is the base cumulant of
-``theta . T``.  :func:`make_expfam` checks that centring once.  The member
-and ``psi`` do not change when a constant is added to ``theta . T``, so
-:func:`density` and :func:`psi` compute from the array ``theta . T``
-directly, by the arithmetic of the inverse exponential chart and the
-cumulant of :mod:`~statbundle.charts`, with no fiber vector in between;
-each member is checked as every :class:`~statbundle.core.Density` is.
+``theta . T``.  :func:`make_expfam` centres the statistics, with a second
+pass where the first leaves a residual mean above ``FIBER_ATOL``, and checks
+only their identifiability.  The member and ``psi`` do not change when a
+constant is added to ``theta . T``, so :func:`density` and :func:`psi`
+compute from the array ``theta . T`` directly, by the arithmetic of the
+inverse exponential chart and the cumulant of :mod:`~statbundle.charts`,
+with no fiber vector in between; each member is checked as every
+:class:`~statbundle.core.Density` is.
 Consequences used throughout:
 
 * psi(theta) = D(p1 (x) p2 || G(theta)) and grad psi(theta) = E_G[T];
