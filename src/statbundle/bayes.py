@@ -30,6 +30,7 @@ formula of :mod:`~statbundle.divergence`, applied row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .core import (
     FiberVector,
     MismatchError,
     ProductSpace,
-    StatBundleError,
+    _centred_rows,
     _density_rows,
     _expect,
     _fiber_rows,
@@ -78,26 +79,6 @@ def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
     return FiberVector(q1, _frozen(vals), v.polarity)
 
 
-def _fiber_rows_recentred(
-    rows: np.ndarray, cond: np.ndarray, mu2: np.ndarray
-) -> np.ndarray:
-    """The rows of a block, centred in real arithmetic, validated as fiber
-    rows at ``cond``; centred once more, as ``center`` does, where a large
-    row offset leaves a residual mean beyond the tolerance."""
-    try:
-        return _fiber_rows(cond, mu2, rows)
-    except StatBundleError:
-        rows = rows - np.sum(rows * cond * mu2, axis=1)[:, None]
-    return _fiber_rows(cond, mu2, rows)
-
-
-def _centred_rows(rows: np.ndarray, cond: np.ndarray, mu2: np.ndarray) -> np.ndarray:
-    """v(x, .) - E[v(x, .) | X = x] for each row x of a block, validated as
-    fiber rows at ``cond`` by :func:`_fiber_rows_recentred`."""
-    centred = rows - np.sum(rows * cond * mu2, axis=1)[:, None]
-    return _fiber_rows_recentred(centred, cond, mu2)
-
-
 def conditionals(q12: Density) -> np.ndarray:
     """All conditionals at once: the read-only (n1, n2) table whose row x is
     q21(.|x), validated row by row as :class:`Density` validates."""
@@ -114,7 +95,7 @@ def conditional_derivatives(q12: Density, v: FiberVector) -> np.ndarray:
     _require_same_base(v, q12)
     mu2 = space.right.weights
     cond = conditionals(q12)
-    return _frozen(_centred_rows(v.values, cond, mu2))
+    return _frozen(_centred_rows(v.values, cond, mu2, partial(_fiber_rows, cond, mu2)))
 
 
 def condition_chart_derivatives(
@@ -134,9 +115,9 @@ def condition_chart_derivatives(
 
         (h(x, .) - m_h - F_x(v) * m_h) / (1 + m_v),
 
-    each row validated as a fiber vector at p2, and centred once more where
-    a large offset of h's rows leaves a residual mean.  Together with the
-    two mixture transports this reproduces :func:`conditional_derivatives`.
+    each row centred at p2 by :func:`~statbundle.core._centred_rows` and
+    validated as a fiber vector there.  Together with the two mixture
+    transports this reproduces :func:`conditional_derivatives`.
     """
     p12 = product_density(p1, p2)
     _require_same_base(v, p12)
@@ -153,7 +134,8 @@ def condition_chart_derivatives(
     fx = (v.values - m[:, None]) / denom[:, None]
     m_h = np.sum(h.values * p2.values * p2.space.weights, axis=1)[:, None]
     rows = (h.values - m_h - fx * m_h) / denom[:, None]
-    return _frozen(_fiber_rows_recentred(rows, p2.values, p2.space.weights))
+    base, mu2 = p2.values, p2.space.weights
+    return _frozen(_centred_rows(rows, base, mu2, partial(_fiber_rows, base, mu2)))
 
 
 @dataclass(frozen=True)
@@ -190,7 +172,9 @@ def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     cond = conditionals(q12)
     mu2 = space.right.weights
     logratio = np.log(cond) - np.log(p2.values)
-    u21 = _frozen(_centred_rows(logratio, p2.values, mu2))
+    u21 = _frozen(
+        _centred_rows(logratio, p2.values, mu2, partial(_fiber_rows, p2.values, mu2))
+    )
     cond_kl = _kl_rows(mu2, p2.values, cond)
     centering = _frozen(cond_kl - _expect(p1, cond_kl))
     residual = float(

@@ -255,6 +255,26 @@ def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarra
     return rows
 
 
+def _centred_rows(rows: np.ndarray, base: np.ndarray, mu: np.ndarray, check):
+    """Project each row of a (k, n) block onto the fiber: the one centring
+    rule.  Row x loses its mean under ``base[x]`` (or the one density
+    ``base``) and the weights ``mu``, summed from ``(rows * base) * mu`` in
+    one fresh buffer that then holds the centred rows, which ``check``
+    validates.  A large offset can leave a rounding residual mean beyond the
+    fiber tolerance: where ``check`` raises :class:`StatBundleError`, that
+    mean is subtracted too and ``check`` runs once more.  Returns what
+    ``check`` returns.
+    """
+    centred = rows * base
+    centred *= mu
+    np.subtract(rows, centred.sum(axis=-1)[:, None], out=centred)
+    try:
+        return check(centred)
+    except StatBundleError:
+        pass
+    return check(centred - np.sum(centred * base * mu, axis=-1)[:, None])
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSpace:
     """A finite outcome set with strictly positive reference weights."""
@@ -487,21 +507,18 @@ def pairing(q: Density, w: FiberVector, v: FiberVector) -> float:
 def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:
     """Project ``f`` onto the fiber at ``q`` by subtracting E_q[f].
 
-    The rounding error of E_q[f] scales with f's offset, not with the
-    spread the centred vector keeps, so a large offset can leave a
-    residual mean beyond the fiber tolerance; it is then subtracted too.
+    ``f`` is centred as a one-row block by :func:`_centred_rows`, whose
+    check builds the vector, so that it is validated once.
     """
     arr = _as_float_array(f, "values")
     if arr.shape != q.values.shape:
         raise MismatchError(
             f"shape {arr.shape} does not match density shape {q.values.shape}"
         )
-    centred = _frozen(arr - _expect(q, arr))
-    try:
-        return FiberVector(q, centred, polarity)
-    except StatBundleError:
-        pass
-    return FiberVector(q, _frozen(centred - expect(q, centred)), polarity)
+    return _centred_rows(
+        arr.reshape(1, -1), q.values.ravel(), q.space.weights.ravel(),
+        lambda rows: FiberVector(q, _frozen(rows.reshape(arr.shape)), polarity),
+    )
 
 
 def random_density(space: Space, seed) -> Density:

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import (
-    FIBER_ATOL,
     BoundaryError,
     Density,
     FiberVector,
@@ -53,6 +53,8 @@ from .core import (
     _as_positive_float,
     _as_float_array,
     _as_int,
+    _centred_rows,
+    _fiber_rows,
     _frozen,
     product_density,
 )
@@ -105,14 +107,10 @@ def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
         )
     if arr.shape[0] == 0:
         raise StatBundleError("an exponential family needs at least 1 statistic")
-    w = (p12.values * p12.space.weights).ravel()
+    base, mu = p12.values.ravel(), p12.space.weights.ravel()
     flat = arr.reshape(arr.shape[0], -1)
-    centered = flat - (flat @ w)[:, None]
-    # A large offset leaves a rounding residual mean that members reject.
-    residual = centered @ w
-    if (np.abs(residual) > FIBER_ATOL).any():
-        centered -= residual[:, None]
-    gram = (centered * w) @ centered.T
+    centered = _centred_rows(flat, base, mu, partial(_fiber_rows, base, mu))
+    gram = (centered * (base * mu)) @ centered.T
     smallest = float(np.linalg.eigvalsh(gram)[0])
     if smallest <= GRAM_EIGENVALUE_FLOOR:
         raise IdentifiabilityError(
