@@ -35,11 +35,16 @@ def _kl_rows(mu: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """sum(mu * q * (log q - log r)) over the last axis: D(q||r) of each row.
 
     The one KL formula of the package; :func:`kl` applies it to raveled
-    densities and :mod:`~statbundle.bayes` to tables of conditionals.  The
-    difference of logs, as in the exponential chart, is finite where q / r
-    overflows or underflows.
+    densities and :mod:`~statbundle.bayes` to tables of conditionals, r of
+    the table's shape.  The difference of logs, as in the exponential chart,
+    is finite where q / r overflows or underflows.  It is formed in the
+    buffer of log r, which then takes the factor mu * q, so that two arrays
+    of r's size are alive at most.
     """
-    return (mu * q * (np.log(q) - np.log(r))).sum(axis=-1)
+    t = np.log(r)
+    np.subtract(np.log(q), t, out=t)
+    t *= mu * q
+    return t.sum(axis=-1)
 
 
 def kl(q: Density, r: Density) -> float:
@@ -57,8 +62,9 @@ def structural_reconstruct(p: Density, q: Density) -> Density:
     arithmetic because D(p||q) = K_p(s_p(q)) is the chart normalizer.
     """
     _require_same_space(p.space, q.space)
+    d = kl(p, q)  # before the chart, so that their temporaries do not meet
     s = exp_chart(p, q)
-    return Density(p.space, _frozen(_tilt(p, s.values - kl(p, q))[0]))
+    return Density(p.space, _frozen(_tilt(p, s.values - d)[0]))
 
 
 def grad1_kl(q: Density, r: Density) -> FiberVector:

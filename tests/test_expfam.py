@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import statbundle as sb
+from statbundle.core import _fiber_rows
 from statbundle.findiff import fd_gradient, fd_vector_curve
 
 from conftest import traced_peak
@@ -75,6 +76,20 @@ class TestMakeExpFamily:
             theta = [0.1, -0.2]
             assert sb.density(fam, theta).space == fam.space
             assert math.isfinite(sb.psi(fam, theta))
+
+    @pytest.mark.parametrize("offset, spread", [(1e6, 1.0), (1e9, 1.0), (1e12, 1.0),
+                                                (0.0, 1e8)])
+    def test_stats_pass_the_fiber_rule(self, offset, spread):
+        # The statistics are held to the scaled tolerance of every fiber
+        # vector, whatever their offset or spread.
+        for seed in range(10):
+            rng = np.random.default_rng([seed, 4])
+            p1 = sb.random_density(sb.make_space(rng.uniform(0.2, 2.0, 3)), rng)
+            p2 = sb.random_density(sb.make_space(rng.uniform(0.2, 2.0, 4)), rng)
+            raw = offset + spread * rng.standard_normal((2, 3, 4))
+            fam = sb.make_expfam(p1, p2, raw)
+            _fiber_rows(fam.base12.values.ravel(), fam.space.weights.ravel(),
+                        fam.stats.reshape(2, -1))
 
     def test_proportional_stats_rejected(self, half_space):
         p = sb.uniform_density(half_space)
@@ -242,6 +257,20 @@ class TestTransientMemory:
         fam, _ = family_200x200(31)
         u = sb.FiberVector(fam.base12, fam.stats[0])
         assert traced_peak(lambda: sb.cumulant(fam.base12, u)) <= 1.5 * self.FULL
+
+    def test_kl(self):
+        # log r, which takes the difference of logs and then mu * q, and one
+        # operand at a time beside it.
+        fam, _ = family_200x200(31)
+        q = sb.density(fam, [0.3, -0.2, 0.1])
+        assert traced_peak(lambda: sb.kl(fam.base12, q)) <= 2.5 * self.FULL
+
+    def test_structural_reconstruct(self):
+        # kl's temporaries are gone before the exponential chart's are made.
+        fam, _ = family_200x200(31)
+        q = sb.density(fam, [0.3, -0.2, 0.1])
+        peak = traced_peak(lambda: sb.structural_reconstruct(fam.base12, q))
+        assert peak <= 3.5 * self.FULL
 
     def test_flow(self):
         fam, target = family_200x200(32)
