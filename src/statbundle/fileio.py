@@ -11,7 +11,9 @@ Inputs are hand-editable JSON:
 
 A file that is not valid JSON, or an array that is ragged or holds
 anything but JSON numbers (a string such as ``"0.4"``, a boolean, null),
-is a :class:`StatBundleError` naming the file and the key.
+is a :class:`StatBundleError` naming the file and the key.  Every other
+error in a file's content, such as a shape that does not match, names the
+file.
 
 Outputs are CSV with every float printed to 17 significant digits, which
 round-trips float64 exactly, so reruns with identical configuration are
@@ -27,6 +29,7 @@ cell is an argument of the format, so a ``%`` in it is written as it is.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +39,6 @@ from .core import (
     Density,
     FiberVector,
     ProductSpace,
-    SampleSpace,
     StatBundleError,
     _frozen,
     make_space,
@@ -68,11 +70,15 @@ def _numbers_only(obj) -> bool:
     """True if every leaf of nested JSON lists is a JSON number.
 
     ``np.asarray(..., dtype=float)`` would read ``"0.4"`` as 0.4, ``true``
-    as 1.0 and ``null`` as nan, so those are rejected here.
+    as 1.0 and ``null`` as nan, so those are rejected here.  A list beside
+    numbers raises ``ValueError``: the nesting is not rectangular.
     """
     if type(obj) is list:
         if obj and type(obj[0]) is not list:
-            return {*map(type, obj)} <= {int, float}
+            kinds = {*map(type, obj)}
+            if list in kinds:
+                raise ValueError("a list beside numbers: the nesting is ragged")
+            return kinds <= {int, float}
         return all(map(_numbers_only, obj))
     return type(obj) is int or type(obj) is float
 
@@ -91,39 +97,55 @@ def _floats(obj: dict, key: str, path) -> np.ndarray:
     )
 
 
-def _space_from(obj: object, path) -> SampleSpace:
-    if not isinstance(obj, dict) or "weights" not in obj:
+def _weights(obj: dict, key: str, path) -> np.ndarray:
+    """The weights of the space ``obj[key]``, read as :func:`_floats` reads."""
+    space = _require(obj, key, path)
+    if not isinstance(space, dict) or "weights" not in space:
         raise StatBundleError(f'{path}: a space must be {{"weights": [...]}}')
-    return make_space(_floats(obj, "weights", path))
+    return _floats(space, "weights", path)
+
+
+@contextmanager
+def _from_file(path):
+    """Name ``path`` in a :class:`StatBundleError`, of the same class, that
+    building objects from the file's arrays raises.  The arrays are read
+    before, so that an error of :func:`_floats` is not named twice."""
+    try:
+        yield
+    except StatBundleError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_density(path) -> Density:
     obj = _load_json(path)
-    space = _space_from(_require(obj, "space", path), path)
-    return Density(space, _floats(obj, "values", path))
+    weights, values = _weights(obj, "space", path), _floats(obj, "values", path)
+    with _from_file(path):
+        return Density(make_space(weights), values)
 
 
 def load_joint(path) -> Density:
     obj = _load_json(path)
-    space = ProductSpace(
-        _space_from(_require(obj, "left", path), path),
-        _space_from(_require(obj, "right", path), path),
-    )
-    return Density(space, _floats(obj, "values", path))
+    left, right = _weights(obj, "left", path), _weights(obj, "right", path)
+    values = _floats(obj, "values", path)
+    with _from_file(path):
+        return Density(ProductSpace(make_space(left), make_space(right)), values)
 
 
 def load_velocity(path, joint: Density) -> FiberVector:
-    obj = _load_json(path)
-    return FiberVector(joint, _floats(obj, "values", path), "mixture")
+    values = _floats(_load_json(path), "values", path)
+    with _from_file(path):
+        return FiberVector(joint, values, "mixture")
 
 
 def load_family(path) -> ExpFamily:
     obj = _load_json(path)
-    left = _space_from(_require(obj, "left", path), path)
-    right = _space_from(_require(obj, "right", path), path)
-    base1 = Density(left, _floats(obj, "base1", path))
-    base2 = Density(right, _floats(obj, "base2", path))
-    return make_expfam(base1, base2, _floats(obj, "stats", path))
+    left, right = _weights(obj, "left", path), _weights(obj, "right", path)
+    base1, base2 = _floats(obj, "base1", path), _floats(obj, "base2", path)
+    stats = _floats(obj, "stats", path)
+    with _from_file(path):
+        p1 = Density(make_space(left), base1)
+        p2 = Density(make_space(right), base2)
+        return make_expfam(p1, p2, stats)
 
 
 def write_json(path, obj: dict) -> None:

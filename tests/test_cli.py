@@ -169,20 +169,32 @@ class TestBayesCommand:
              "values"),
             ('{"left": [0.5, 0.5], "right": {"weights": [0.5, 0.5]},'
              ' "values": [[1.6, 0.4], [0.4, 1.6]]}', None),
+            ('{"left": {"weights": 0.5}, "right": {"weights": [0.5, 0.5]},'
+             ' "values": [[1.6, 0.4], [0.4, 1.6]]}', None),
+            ('{"left": {"weights": [[0.5, 0.5]]}, "right": {"weights": [0.5, 0.5]},'
+             ' "values": [[1.6, 0.4], [0.4, 1.6]]}', None),
+            ('{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [0.5, 0.5]},'
+             ' "values": 1.0}', None),
+            ('{"left": {"weights": [0.5, 0.5]}, "right": {"weights": [0.5, 0.5]},'
+             ' "values": [1.6, [0.4, 0.4]]}', "values"),
         ],
         ids=["invalid-json", "ragged", "non-numeric", "non-numeric-weights",
              "numeric-string", "boolean", "null", "not-an-object", "missing-key",
-             "malformed-space"],
+             "malformed-space", "scalar-weights", "2d-weights", "scalar-values",
+             "list-beside-numbers"],
     )
-    def test_malformed_joint_names_file(self, tmp_path, capsys, text, key):
+    def test_malformed_joint_names_file(self, request, tmp_path, capsys, text, key):
         joint = tmp_path / "malformed.json"
         joint.write_text(text)
         rc = main(["bayes", "--joint", str(joint), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(joint) in err
+        assert err.count(str(joint)) == 1
         if key is not None:
             assert repr(key) in err
+        if request.node.callspec.id == "list-beside-numbers":
+            assert "ragged" in err and "string" not in err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(
