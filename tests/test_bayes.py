@@ -193,6 +193,41 @@ def chart_expression(p1, p2, v):
     return sb.conditionals(sb.mix_chart_inv(p12, w)) / p2.values - 1.0
 
 
+class TestCentredRowBytes:
+    # Each row's conditional mean is summed from (v * cond) * mu2 along the
+    # row: a change of product order or sum moves bits.
+    @staticmethod
+    def draw(seed):
+        rng = np.random.default_rng([seed, 8])
+        n1, n2 = int(rng.integers(2, 40)), int(rng.integers(2, 300))
+        space = sb.ProductSpace(sb.make_space(rng.uniform(0.2, 2.0, n1)),
+                                sb.make_space(rng.uniform(0.2, 2.0, n2)))
+        p1, p2 = sb.random_density(space.left, rng), sb.random_density(space.right, rng)
+        return p1, p2, sb.random_density(space, rng), rng
+
+    def test_conditional_derivatives(self):
+        for seed in range(30):
+            _, _, q12, rng = self.draw(seed)
+            v = sb.random_fiber(q12, rng).values
+            cond = sb.conditionals(q12)
+            mu2 = q12.space.right.weights
+            expected = v - np.sum(v * cond * mu2, axis=1)[:, None]
+            assert sb.conditional_derivatives(q12, sb.FiberVector(q12, v)).tobytes() == (
+                expected.tobytes()
+            )
+
+    def test_exp_decompose_conditional(self):
+        for seed in range(30):
+            p1, p2, q12, _ = self.draw(seed)
+            cond = sb.conditionals(q12)
+            mu2 = q12.space.right.weights
+            v = np.log(cond) - np.log(p2.values)
+            expected = v - np.sum(v * p2.values * mu2, axis=1)[:, None]
+            assert sb.exp_decompose(p1, p2, q12).conditional.tobytes() == (
+                expected.tobytes()
+            )
+
+
 class TestConditioningInCharts:
     def test_zero_maps_to_zero(self, two_point):
         _, p, _, _ = two_point
