@@ -256,23 +256,23 @@ def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarra
 
 
 def _centred_rows(rows: np.ndarray, base: np.ndarray, mu: np.ndarray, check):
-    """Project each row of a (k, n) block onto the fiber: the one centring
-    rule.  Row x loses its mean under ``base[x]`` (or the one density
-    ``base``) and the weights ``mu``, summed from ``(rows * base) * mu`` in
-    one fresh buffer that then holds the centred rows, which ``check``
-    validates.  A large offset can leave a rounding residual mean beyond the
-    fiber tolerance: where ``check`` raises :class:`StatBundleError`, that
-    mean is subtracted too and ``check`` runs once more.  Returns what
-    ``check`` returns.
+    """Project each row of a (k, n) block, or one row, onto the fiber: the
+    one centring rule.  Row x loses its mean under ``base[x]`` (or the one
+    density ``base``) and the weights ``mu``, summed from ``(rows * base) *
+    mu`` in one fresh buffer that then holds the centred rows, which
+    ``check`` validates.  A large offset can leave a rounding residual mean
+    beyond the fiber tolerance: where ``check`` raises
+    :class:`StatBundleError`, that mean is subtracted too and ``check`` runs
+    once more.  Returns what ``check`` returns.
     """
     centred = rows * base
     centred *= mu
-    np.subtract(rows, centred.sum(axis=-1)[:, None], out=centred)
+    np.subtract(rows, centred.sum(axis=-1, keepdims=True), out=centred)
     try:
         return check(centred)
     except StatBundleError:
         pass
-    return check(centred - np.sum(centred * base * mu, axis=-1)[:, None])
+    return check(centred - np.sum(centred * base * mu, axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,8 +507,8 @@ def pairing(q: Density, w: FiberVector, v: FiberVector) -> float:
 def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:
     """Project ``f`` onto the fiber at ``q`` by subtracting E_q[f].
 
-    ``f`` is centred as a one-row block by :func:`_centred_rows`, whose
-    check builds the vector, so that it is validated once.
+    ``f`` is centred as one row by :func:`_centred_rows`, whose check
+    builds the vector, so that it is validated once.
     """
     arr = _as_float_array(f, "values")
     if arr.shape != q.values.shape:
@@ -516,8 +516,8 @@ def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:
             f"shape {arr.shape} does not match density shape {q.values.shape}"
         )
     return _centred_rows(
-        arr.reshape(1, -1), q.values.ravel(), q.space.weights.ravel(),
-        lambda rows: FiberVector(q, _frozen(rows.reshape(arr.shape)), polarity),
+        arr.ravel(), q.values.ravel(), q.space.weights.ravel(),
+        lambda row: FiberVector(q, _frozen(row.reshape(arr.shape)), polarity),
     )
 
 

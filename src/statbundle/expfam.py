@@ -3,9 +3,10 @@
 A family is ``G(theta) = exp(theta . T - psi(theta)) * p1 (x) p2`` with
 statistics T_j centered under the base product density, so the whole of
 R^d is a valid parameter domain and ``psi`` is the base cumulant of
-``theta . T``.  :func:`make_expfam` centres the statistics, with a second
-pass where the first leaves a residual mean above ``FIBER_ATOL``, and checks
-only their identifiability.  The member and ``psi`` do not change when a
+``theta . T``.  :func:`make_expfam` centres the statistics by the one
+centring rule of :func:`~statbundle.core._centred_rows`, which holds them to
+the scaled tolerance of every fiber vector, and checks only their
+identifiability.  The member and ``psi`` do not change when a
 constant is added to ``theta . T``, so :func:`density` and :func:`psi`
 compute from the array ``theta . T`` directly, by the arithmetic of the
 inverse exponential chart and the cumulant of :mod:`~statbundle.charts`,
@@ -94,9 +95,12 @@ class ExpFamily:
 def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
     """Center the raw statistics under p1 (x) p2 and check identifiability.
 
-    Raises :class:`IdentifiabilityError` when the Gram matrix of the
-    centered statistics under the base pairing has an eigenvalue at or
-    below 1e-10, and :class:`StatBundleError` when there is no statistic.
+    Each statistic is centred as a row by
+    :func:`~statbundle.core._centred_rows` and checked, as every fiber
+    vector is, against the tolerance scaled by its magnitude.  Raises
+    :class:`IdentifiabilityError` when the Gram matrix of the centered
+    statistics under the base pairing has an eigenvalue at or below 1e-10,
+    and :class:`StatBundleError` when there is no statistic.
     """
     p12 = product_density(p1, p2)
     arr = _as_float_array(raw_stats, "statistics")
