@@ -9,6 +9,7 @@ import pytest
 import statbundle
 from statbundle import fileio
 from statbundle.cli import DEMO_FILES, main
+from statbundle.expfam import natural_gradient_flow
 
 
 def write_fixture(tmp_path, name):
@@ -40,10 +41,18 @@ class TestVerifyCommand:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_zero_trials_is_a_usage_error(self):
+    def test_zero_trials_is_a_usage_error(self, capsys):
+        rc = main(["verify", "--trials", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: trials must be at least 1\n"
+
+    def test_non_numeric_trials_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--trials", "0"])
+            main(["verify", "--trials", "abc"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid int value: 'abc'" in err
+        assert "_positive_int" not in err
 
     def test_malformed_sizes(self):
         with pytest.raises(SystemExit) as exc:
@@ -51,16 +60,17 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
     def test_negative_seed_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--seed=-1"])
-        assert exc.value.code == 2
-        assert "expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+        rc = main(["verify", "--seed=-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
-    def test_tolerance_must_be_positive_and_finite(self, tol):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--trials", "1", "--sizes", "2x2", "--tol", tol])
-        assert exc.value.code == 2
+    def test_tolerance_must_be_positive_and_finite(self, tol, capsys):
+        rc = main(["verify", "--trials", "1", "--sizes", "2x2", "--tol", tol])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: tolerance slack must be positive and finite\n"
+        )
 
     @pytest.mark.parametrize("sizes", ["-2x3", "1x3", "2x2,3x1"])
     def test_sizes_below_two_are_an_error(self, sizes, capsys):
@@ -147,6 +157,7 @@ class TestBayesCommand:
         )
         assert rc == 2
         assert "residual" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "text, key",
@@ -289,17 +300,36 @@ class TestFlowCommand:
     @pytest.mark.parametrize(
         "flag, value", [("--tol", "inf"), ("--tol", "nan"), ("--step", "inf")]
     )
-    def test_step_and_tolerance_must_be_finite(self, tmp_path, flag, value):
+    def test_step_and_tolerance_must_be_finite(self, tmp_path, capsys, flag, value):
         # --tol inf used to report convergence at iteration 0
         family = write_fixture(tmp_path, "margin_family.json")
         target = write_fixture(tmp_path, "flow_target.json")
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["flow", "--family", str(family), "--target", str(target),
-                 "--theta0", "1.0", flag, value, "--out", str(tmp_path / "flow")]
-            )
-        assert exc.value.code == 2
+        rc = main(
+            ["flow", "--family", str(family), "--target", str(target),
+             "--theta0", "1.0", flag, value, "--out", str(tmp_path / "flow")]
+        )
+        assert rc == 2
+        name = flag.lstrip("-")
+        assert capsys.readouterr().err == f"error: {name} must be positive and finite\n"
         assert not (tmp_path / "flow").exists()
+
+    def test_omitted_options_take_the_library_defaults(self, tmp_path):
+        # Without --step and --tol the flow runs at natural_gradient_flow's
+        # own defaults; --iters is the command line's 200.
+        family = write_fixture(tmp_path, "margin_family.json")
+        target = write_fixture(tmp_path, "two_point_q.json")
+        out = tmp_path / "flow"
+        rc = main(["flow", "--family", str(family), "--target", str(target),
+                   "--out", str(out)])
+        assert rc == 0
+        trace = natural_gradient_flow(
+            fileio.load_family(family), [0.0], fileio.load_density(target),
+            iters=200,
+        )
+        fileio.write_trace_csv(tmp_path / "expected.csv", trace)
+        assert (out / "trace.csv").read_bytes() == (
+            tmp_path / "expected.csv"
+        ).read_bytes()
 
     def test_right_mode_at_matching_margin(self, tmp_path):
         family = write_fixture(tmp_path, "margin_family.json")
@@ -332,6 +362,13 @@ class TestFlowCommand:
         )
         assert rc == 2
         assert "dependent" in capsys.readouterr().err
+
+
+def test_demo_with_a_refused_seed_writes_nothing(tmp_path, capsys):
+    rc = main(["demo", "--out", str(tmp_path / "demo"), "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+    assert not (tmp_path / "demo").exists()
 
 
 def test_demo_command(tmp_path, capsys):
