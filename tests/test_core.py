@@ -716,6 +716,31 @@ class TestProductSpace:
         assert float(np.dot(u.values, space.weights)) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_equal_values_compare_and_hash_equal():
+    # Distinct objects built from equal values are equal, hash alike, and
+    # so serve as the same dict key and set member.
+    def build():
+        left = sb.make_space([0.5, 0.5])
+        space = sb.ProductSpace(left, sb.make_space([0.2, 0.5, 1.1]))
+        return left, space, sb.make_density(left, [1.2, 0.8])
+
+    for a, b in zip(build(), build()):
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+        assert len({a, b}) == 1
+    left, space, q = build()
+    assert space != left and left != space
+    assert q != left
+    v = sb.FiberVector(q, [0.4, -0.6])
+    assert [repr(obj) for obj in (left, space, q, v)] == [
+        "SampleSpace(n=2)",
+        "ProductSpace(shape=(2, 3))",
+        "Density(space=SampleSpace(n=2))",
+        "FiberVector(polarity='exponential', n=2)",
+    ]
+
+
 class TestAdoption:
     """Stored values are read-only views of owners that only the library
     holds: library results are shared, arrays passed in are copied."""
