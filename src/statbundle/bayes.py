@@ -30,7 +30,6 @@ formula of :mod:`~statbundle.divergence`, applied row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .core import (
     _centred_rows,
     _density_rows,
     _expect,
-    _fiber_rows,
     _frozen,
     _require_same_base,
     _row_masses,
@@ -57,6 +55,14 @@ def _joint_space(q12: Density) -> ProductSpace:
     if not isinstance(q12.space, ProductSpace):
         raise MismatchError("expected a joint density on a product space")
     return q12.space
+
+
+def _reference(p1: Density, p2: Density, space: ProductSpace) -> Density:
+    """The reference product p1 (x) p2, which must live on the joint ``space``."""
+    p12 = product_density(p1, p2)
+    if p12.space != space:
+        raise MismatchError("reference densities do not match the joint space")
+    return p12
 
 
 def marginalize(q12: Density) -> Density:
@@ -93,9 +99,7 @@ def conditional_derivatives(q12: Density, v: FiberVector) -> np.ndarray:
     fiber vector at q21(.|x)."""
     space = _joint_space(q12)
     _require_same_base(v, q12)
-    mu2 = space.right.weights
-    cond = conditionals(q12)
-    return _frozen(_centred_rows(v.values, cond, mu2, partial(_fiber_rows, cond, mu2)))
+    return _centred_rows(v.values, conditionals(q12), space.right.weights)
 
 
 def condition_chart_derivatives(
@@ -134,8 +138,7 @@ def condition_chart_derivatives(
     fx = (v.values - m[:, None]) / denom[:, None]
     m_h = np.sum(h.values * p2.values * p2.space.weights, axis=1)[:, None]
     rows = (h.values - m_h - fx * m_h) / denom[:, None]
-    base, mu2 = p2.values, p2.space.weights
-    return _frozen(_centred_rows(rows, base, mu2, partial(_fiber_rows, base, mu2)))
+    return _centred_rows(rows, p2.values, p2.space.weights)
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,11 @@ class ChartDecomposition:
     marginal: np.ndarray
     conditional: np.ndarray
     centering: np.ndarray
-    residual: float
+
+    @property
+    def residual(self) -> float:
+        split = self.marginal[:, None] + self.conditional - self.centering[:, None]
+        return float(np.max(np.abs(self.joint - split)))
 
 
 def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
@@ -163,24 +170,16 @@ def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     (the plain mu1-average does not close the identity).
     """
     space = _joint_space(q12)
-    p12 = product_density(p1, p2)
-    if p12.space != space:
-        raise MismatchError("reference densities do not match the joint space")
-    u12 = exp_chart(p12, q12).values
+    u12 = exp_chart(_reference(p1, p2, space), q12).values
     q1 = marginalize(q12)
     u1 = exp_chart(p1, q1).values
     cond = conditionals(q12)
     mu2 = space.right.weights
     logratio = np.log(cond) - np.log(p2.values)
-    u21 = _frozen(
-        _centred_rows(logratio, p2.values, mu2, partial(_fiber_rows, p2.values, mu2))
-    )
+    u21 = _centred_rows(logratio, p2.values, mu2)
     cond_kl = _kl_rows(mu2, p2.values, cond)
     centering = _frozen(cond_kl - _expect(p1, cond_kl))
-    residual = float(
-        np.max(np.abs(u12 - (u1[:, None] + u21 - centering[:, None])))
-    )
-    return ChartDecomposition(u12, u1, u21, centering, residual)
+    return ChartDecomposition(u12, u1, u21, centering)
 
 
 @dataclass(frozen=True)
@@ -200,10 +199,7 @@ def kl_chain(p1: Density, p2: Density, q12: Density) -> KLChain:
     """Split D(p1 (x) p2 || q12) into the margin term plus the p1-averaged
     conditional term."""
     space = _joint_space(q12)
-    p12 = product_density(p1, p2)
-    if p12.space != space:
-        raise MismatchError("reference densities do not match the joint space")
-    total = kl(p12, q12)
+    total = kl(_reference(p1, p2, space), q12)
     marginal_term = kl(p1, marginalize(q12))
     cond_kl = _kl_rows(space.right.weights, p2.values, conditionals(q12))
     cond = float(np.sum(cond_kl * (p1.values * space.left.weights)))

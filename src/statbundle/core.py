@@ -255,24 +255,29 @@ def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarra
     return rows
 
 
-def _centred_rows(rows: np.ndarray, base: np.ndarray, mu: np.ndarray, check):
+def _centred_rows(rows: np.ndarray, base: np.ndarray, mu: np.ndarray,
+                  check=_fiber_rows):
     """Project each row of a (k, n) block, or one row, onto the fiber: the
     one centring rule.  Row x loses its mean under ``base[x]`` (or the one
     density ``base``) and the weights ``mu``, summed from ``(rows * base) *
-    mu`` in one fresh buffer that then holds the centred rows, which
-    ``check`` validates.  A large offset can leave a rounding residual mean
-    beyond the fiber tolerance: where ``check`` raises
-    :class:`StatBundleError`, that mean is subtracted too and ``check`` runs
-    once more.  Returns what ``check`` returns.
+    mu`` in one fresh buffer that then holds the centred rows.  The buffer
+    is handed over in stored form to ``check(base, mu, centred)``, by
+    default the fiber-vector rules of :func:`_fiber_rows`.  A large offset
+    can leave a rounding residual mean beyond the fiber tolerance: where
+    ``check`` raises :class:`StatBundleError`, that mean is subtracted too,
+    in a second fresh buffer, and ``check`` runs once more.  Returns what
+    ``check`` returns.
     """
     centred = rows * base
     centred *= mu
     np.subtract(rows, centred.sum(axis=-1, keepdims=True), out=centred)
+    centred = _frozen(centred)
     try:
-        return check(centred)
+        return check(base, mu, centred)
     except StatBundleError:
         pass
-    return check(centred - np.sum(centred * base * mu, axis=-1, keepdims=True))
+    mean = np.sum(centred * base * mu, axis=-1, keepdims=True)
+    return check(base, mu, _frozen(centred - mean))
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,6 +386,11 @@ class Density:
     values: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.space, (SampleSpace, ProductSpace)):
+            raise MismatchError(
+                "the space of a density must be a sample or product space, "
+                f"not {type(self.space).__name__}"
+            )
         vals = _float_array(self.values, "density values")
         if vals.shape != self.space.weights.shape:
             raise MismatchError(
@@ -428,6 +438,11 @@ class FiberVector:
     polarity: Polarity = "exponential"
 
     def __post_init__(self):
+        if not isinstance(self.base, Density):
+            raise MismatchError(
+                "the base of a fiber vector must be a density, "
+                f"not {type(self.base).__name__}"
+            )
         vals = _float_array(self.values, "fiber values")
         if vals.shape != self.base.values.shape:
             raise MismatchError(
@@ -475,8 +490,14 @@ def uniform_density(space: Space) -> Density:
 
 def product_density(p1: Density, p2: Density) -> Density:
     """The independent joint p1 (x) p2 on the product space."""
-    if isinstance(p1.space, ProductSpace) or isinstance(p2.space, ProductSpace):
-        raise MismatchError("product_density expects densities on factor spaces")
+    for p in (p1, p2):
+        if not isinstance(p, Density):
+            raise MismatchError(
+                "product_density expects densities on factor spaces, "
+                f"not {type(p).__name__}"
+            )
+        if isinstance(p.space, ProductSpace):
+            raise MismatchError("product_density expects densities on factor spaces")
     space = ProductSpace(p1.space, p2.space)
     return Density(space, _frozen(np.outer(p1.values, p2.values)))
 
@@ -517,13 +538,21 @@ def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:
         )
     return _centred_rows(
         arr.ravel(), q.values.ravel(), q.space.weights.ravel(),
-        lambda row: FiberVector(q, _frozen(row.reshape(arr.shape)), polarity),
+        lambda base, mu, row: FiberVector(q, row.reshape(arr.shape), polarity),
     )
+
+
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator for ``seed``, which refuses booleans as
+    :func:`_as_int` does; generators, sequences and ``SeedSequence`` pass."""
+    if isinstance(seed, (bool, np.bool_)):
+        raise StatBundleError(f"seed must be an integer, not {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def random_density(space: Space, seed) -> Density:
     """A seeded random density: softmax of i.i.d. standard-normal logits."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     g = rng.standard_normal(space.weights.shape)
     g -= g.max()
     e = np.exp(g)
@@ -533,5 +562,5 @@ def random_density(space: Space, seed) -> Density:
 
 def random_fiber(q: Density, seed, polarity: Polarity = "exponential") -> FiberVector:
     """A seeded random fiber vector at ``q`` (centered standard normals)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return center(q, rng.standard_normal(q.values.shape), polarity)

@@ -3,11 +3,13 @@
 A family is ``G(theta) = exp(theta . T - psi(theta)) * p1 (x) p2`` with
 statistics T_j centered under the base product density, so the whole of
 R^d is a valid parameter domain and ``psi`` is the base cumulant of
-``theta . T``.  :func:`make_expfam` centres the statistics by the one
-centring rule of :func:`~statbundle.core._centred_rows`, which holds them to
-the scaled tolerance of every fiber vector, and checks only their
-identifiability.  The member and ``psi`` do not change when a
-constant is added to ``theta . T``, so :func:`density` and :func:`psi`
+``theta . T``.  The :class:`ExpFamily` constructor, which
+:func:`make_expfam` calls, centres the statistics by the one centring rule
+of :func:`~statbundle.core._centred_rows`, which holds them to the scaled
+tolerance of every fiber vector, and checks their identifiability, so
+every family holds centred, independent, read-only statistics.  The
+member and ``psi`` do not change when a constant is added to
+``theta . T``, so :func:`density` and :func:`psi`
 compute from the array ``theta . T`` directly, by the arithmetic of the
 inverse exponential chart and the cumulant of :mod:`~statbundle.charts`,
 with no fiber vector in between; each member is checked as every
@@ -38,8 +40,7 @@ Fisher-preconditioned gradient, with backtracking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +56,6 @@ from .core import (
     _as_float_array,
     _as_int,
     _centred_rows,
-    _fiber_rows,
     _frozen,
     product_density,
 )
@@ -73,12 +73,45 @@ class IdentifiabilityError(StatBundleError):
 
 @dataclass(frozen=True, eq=False)
 class ExpFamily:
-    """Base product density plus centered, independent sufficient statistics."""
+    """Base product density plus centered, independent sufficient statistics.
+
+    The constructor centres the raw (d, n1, n2) ``stats`` under ``base12 =
+    base1 (x) base2``, which it derives, and keeps them in a fresh read-only
+    buffer, so later writes to the array passed in do not reach the family.
+    Each statistic is centred as a row by
+    :func:`~statbundle.core._centred_rows` and checked, as every fiber
+    vector is, against the tolerance scaled by its magnitude.  Raises
+    :class:`IdentifiabilityError` when the Gram matrix of the centered
+    statistics under the base pairing has an eigenvalue at or below 1e-10,
+    and :class:`StatBundleError` when there is no statistic.
+    """
 
     base1: Density
     base2: Density
-    stats: np.ndarray  # (d, n1, n2), centered under base1 (x) base2
-    base12: Density
+    stats: np.ndarray  # (d, n1, n2), centered under base12
+    base12: Density = field(init=False)
+
+    def __post_init__(self):
+        p12 = product_density(self.base1, self.base2)
+        arr = _as_float_array(self.stats, "statistics")
+        if arr.ndim != 3 or arr.shape[1:] != p12.space.shape:
+            raise MismatchError(
+                f"statistics shape {arr.shape} does not match product shape "
+                f"{p12.space.shape}"
+            )
+        if arr.shape[0] == 0:
+            raise StatBundleError("an exponential family needs at least 1 statistic")
+        base, mu = p12.values.ravel(), p12.space.weights.ravel()
+        centered = _centred_rows(arr.reshape(arr.shape[0], -1), base, mu)
+        gram = (centered * (base * mu)) @ centered.T
+        smallest = float(np.linalg.eigvalsh(gram)[0])
+        if smallest <= GRAM_EIGENVALUE_FLOOR:
+            raise IdentifiabilityError(
+                f"statistics are linearly dependent: smallest Gram eigenvalue "
+                f"{smallest:.3e} <= {GRAM_EIGENVALUE_FLOOR:.0e}"
+            )
+        object.__setattr__(self, "stats", centered.reshape(arr.shape))
+        object.__setattr__(self, "base12", p12)
 
     @property
     def dim(self) -> int:
@@ -93,36 +126,9 @@ class ExpFamily:
 
 
 def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
-    """Center the raw statistics under p1 (x) p2 and check identifiability.
-
-    Each statistic is centred as a row by
-    :func:`~statbundle.core._centred_rows` and checked, as every fiber
-    vector is, against the tolerance scaled by its magnitude.  Raises
-    :class:`IdentifiabilityError` when the Gram matrix of the centered
-    statistics under the base pairing has an eigenvalue at or below 1e-10,
-    and :class:`StatBundleError` when there is no statistic.
-    """
-    p12 = product_density(p1, p2)
-    arr = _as_float_array(raw_stats, "statistics")
-    if arr.ndim != 3 or arr.shape[1:] != p12.space.shape:
-        raise MismatchError(
-            f"statistics shape {arr.shape} does not match product shape "
-            f"{p12.space.shape}"
-        )
-    if arr.shape[0] == 0:
-        raise StatBundleError("an exponential family needs at least 1 statistic")
-    base, mu = p12.values.ravel(), p12.space.weights.ravel()
-    flat = arr.reshape(arr.shape[0], -1)
-    centered = _centred_rows(flat, base, mu, partial(_fiber_rows, base, mu))
-    gram = (centered * (base * mu)) @ centered.T
-    smallest = float(np.linalg.eigvalsh(gram)[0])
-    if smallest <= GRAM_EIGENVALUE_FLOOR:
-        raise IdentifiabilityError(
-            f"statistics are linearly dependent: smallest Gram eigenvalue "
-            f"{smallest:.3e} <= {GRAM_EIGENVALUE_FLOOR:.0e}"
-        )
-    stats = _frozen(centered.reshape(arr.shape))
-    return ExpFamily(base1=p1, base2=p2, stats=stats, base12=p12)
+    """The family on p1 (x) p2 with the raw statistics, which the
+    :class:`ExpFamily` constructor centres and checks for identifiability."""
+    return ExpFamily(p1, p2, raw_stats)
 
 
 def _check_theta(family: ExpFamily, theta) -> np.ndarray:

@@ -477,6 +477,16 @@ class TestChartDecomposition:
         with pytest.raises(sb.MismatchError, match="reference densities"):
             sb.exp_decompose(p_wrong, p_ok, q12)
 
+    def test_residual_is_the_defect_of_the_identity(self):
+        q12 = random_joint(4, 5, 39)
+        p1 = sb.random_density(q12.space.left, 40)
+        p2 = sb.random_density(q12.space.right, 41)
+        dec = sb.exp_decompose(p1, p2, q12)
+        split = dec.marginal[:, None] + dec.conditional - dec.centering[:, None]
+        expected = float(np.max(np.abs(dec.joint - split)))
+        assert type(dec.residual) is float
+        assert repr(dec.residual) == repr(expected)
+
 
 class TestKLChain:
     def test_base_point_is_zero(self, two_point):

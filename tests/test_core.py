@@ -676,6 +676,30 @@ class TestRandomDensity:
         assert q.values.shape == (2, 3)
 
 
+    @pytest.mark.parametrize("draw", [sb.random_density, sb.random_fiber],
+                             ids=["random_density", "random_fiber"])
+    @pytest.mark.parametrize("seed", [True, False, np.True_],
+                             ids=["True", "False", "np.True_"])
+    def test_boolean_seed_is_refused(self, two_point, draw, seed):
+        # numpy reads True as the seed 1; a seed is an integer, as for
+        # the seed, trials and iters of the suite and the flow.
+        _, p, _, _ = two_point
+        at = p.space if draw is sb.random_density else p
+        with pytest.raises(sb.StatBundleError,
+                           match=rf"^seed must be an integer, not {seed!r}$"):
+            draw(at, seed)
+
+    @pytest.mark.parametrize(
+        "seed", [np.int64(3), [3, 1], np.random.SeedSequence(3)],
+        ids=["numpy-int", "sequence", "SeedSequence"],
+    )
+    def test_non_integer_seeds_still_go_to_numpy(self, half_space, seed):
+        expected = np.random.default_rng(seed).standard_normal(2)
+        got = sb.random_fiber(sb.uniform_density(half_space), seed)
+        np.testing.assert_array_equal(got.values, expected - expected.mean())
+        assert sb.random_density(half_space, np.random.default_rng(0)).space == half_space
+
+
 class TestProductSpace:
     def test_weights_are_exact_products(self):
         left = sb.make_space([0.3, 0.7])
@@ -714,6 +738,37 @@ class TestProductSpace:
         u = sb.uniform_density(space)
         assert np.all(u.values == u.values[0])
         assert float(np.dot(u.values, space.weights)) == pytest.approx(1.0, abs=1e-15)
+
+
+NOT_A_SPACE = "the space of a density must be a sample or product space, not"
+NOT_A_BASE = "the base of a fiber vector must be a density, not"
+NOT_A_FACTOR = "product_density expects densities on factor spaces, not"
+WRONG_TYPE = {
+    "Density": (lambda p, s: sb.Density([0.5, 0.5], [1.0, 1.0]), f"{NOT_A_SPACE} list"),
+    "make_density": (lambda p, s: sb.make_density(p, [1.0, 1.0]),
+                     f"{NOT_A_SPACE} Density"),
+    "FiberVector": (lambda p, s: sb.FiberVector(s, [0.0, 0.0]),
+                    f"{NOT_A_BASE} SampleSpace"),
+    "product_density-left": (lambda p, s: sb.product_density(s, p),
+                             f"{NOT_A_FACTOR} SampleSpace"),
+    "product_density-right": (lambda p, s: sb.product_density(p, s),
+                              f"{NOT_A_FACTOR} SampleSpace"),
+    "make_expfam": (lambda p, s: sb.make_expfam(p, s, [[[1.0, -1.0], [-1.0, 1.0]]]),
+                    f"{NOT_A_FACTOR} SampleSpace"),
+    "ExpFamily": (lambda p, s: sb.ExpFamily([1.0, 1.0], p, [[[1.0, -1.0]]]),
+                  f"{NOT_A_FACTOR} list"),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_TYPE)
+def test_constructors_refuse_the_wrong_type(two_point, entry):
+    # An argument of the wrong type raised AttributeError from inside the
+    # constructor; it raises the package's error, naming the type, as
+    # ProductSpace does.
+    space, p, _, _ = two_point
+    call, message = WRONG_TYPE[entry]
+    with pytest.raises(sb.MismatchError, match=f"^{message}$"):
+        call(p, space)
 
 
 def test_equal_values_compare_and_hash_equal():

@@ -111,6 +111,67 @@ class TestMakeExpFamily:
             sb.make_expfam(p, p, np.zeros((0, 2, 2)))
 
 
+class TestExpFamilyConstructor:
+    """``ExpFamily(p1, p2, raw)`` is the one way to build a family: it
+    centres, checks and stores the statistics and derives ``base12``."""
+
+    def test_same_family_as_make_expfam(self):
+        rng = np.random.default_rng(71)
+        p1 = sb.random_density(sb.make_space(rng.uniform(0.2, 2.0, 3)), rng)
+        p2 = sb.random_density(sb.make_space(rng.uniform(0.2, 2.0, 4)), rng)
+        raw = 1e4 + rng.standard_normal((2, 3, 4))
+        fam, made = sb.ExpFamily(p1, p2, raw), sb.make_expfam(p1, p2, raw)
+        assert fam.stats.tobytes() == made.stats.tobytes()
+        assert fam.base12.values.tobytes() == made.base12.values.tobytes()
+        assert fam.base12 == sb.product_density(p1, p2)
+        assert (fam.base1, fam.base2) == (p1, p2)
+
+    def test_caller_array_is_copied_and_stats_are_read_only(self, two_point):
+        _, p, q, _ = two_point
+        raw = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        fam = sb.ExpFamily(p, q, raw)
+        before = fam.stats.copy()
+        mean = sb.grad_psi(fam, [0.0])
+        raw[0, 0, 0] = 100.0
+        np.testing.assert_array_equal(fam.stats, before)
+        np.testing.assert_array_equal(sb.grad_psi(fam, [0.0]), mean)
+        with pytest.raises(ValueError):
+            fam.stats.flags.writeable = True
+        with pytest.raises(ValueError):
+            fam.stats[0, 0, 0] = 1.0
+
+    def test_uncentred_stats_come_out_centred(self, two_point):
+        # The raw statistic has mean 2.4 under p (x) q.
+        _, p, q, _ = two_point
+        fam = sb.ExpFamily(p, q, [[[1.0, 2.0], [3.0, 4.0]]])
+        assert abs(sb.grad_psi(fam, [0.0])[0]) <= 1e-12
+        w = (fam.base12.values * fam.space.weights).ravel()
+        assert abs(fam.stats.ravel() @ w) <= 1e-12
+        np.testing.assert_allclose(fam.stats[0], [[-1.4, -0.4], [0.6, 1.6]],
+                                   atol=1e-15)
+
+    def test_dependent_stats_raise(self, half_space):
+        p = sb.uniform_density(half_space)
+        t = [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(sb.IdentifiabilityError, match="eigenvalue"):
+            sb.ExpFamily(p, p, [t, [[5.0, 3.0], [1.0, -1.0]]])
+
+    def test_derived_fields_are_not_arguments(self, two_point, joint_2x2):
+        _, p, q, _ = two_point
+        raw = [[[1.0, 2.0], [3.0, 4.0]]]
+        with pytest.raises(TypeError):
+            sb.ExpFamily(p, p, raw, sb.product_density(q, q))
+        with pytest.raises(TypeError):
+            sb.ExpFamily(p, p, raw, base12=sb.product_density(p, p))
+        dec = sb.exp_decompose(p, p, joint_2x2[1])
+        with pytest.raises(TypeError):
+            sb.ChartDecomposition(dec.joint, dec.marginal, dec.conditional,
+                                  dec.centering, 0.0)
+
+    def test_repr(self, diag_family):
+        assert repr(diag_family) == "ExpFamily(dim=1, shape=(2, 2))"
+
+
 class TestPsi:
     def test_zero_at_origin(self, diag_family):
         assert sb.psi(diag_family, [0.0]) == 0.0
