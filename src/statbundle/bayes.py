@@ -5,6 +5,11 @@ A joint density q12 on a product space maps to its first margin
 ``q1(x) = sum_z q12(x, z) mu2(z)`` and, for each outcome ``x``, to the
 conditional ``q21(.|x) = q12(x, .) / q1(x)`` -- always well defined here
 because densities are strictly positive everywhere.
+Every such sum over the second factor -- the margin, the masses that
+normalise the conditionals and the numerators of conditional expectations --
+is the per-row dot of :func:`~statbundle.core._row_masses`, so the margin
+is exactly what divides the conditionals and q1(x) * q21(y|x) reproduces
+q12(x, y) to one ulp.
 
 Reading these maps in mixture charts gives their derivatives in closed
 form:
@@ -41,8 +46,8 @@ from .core import (
     ProductSpace,
     _centred_rows,
     _density_rows,
-    _expect,
     _frozen,
+    _require_density,
     _require_same_base,
     _row_masses,
     product_density,
@@ -52,6 +57,7 @@ from .divergence import _kl_rows, kl
 
 
 def _joint_space(q12: Density) -> ProductSpace:
+    _require_density(q12)
     if not isinstance(q12.space, ProductSpace):
         raise MismatchError("expected a joint density on a product space")
     return q12.space
@@ -66,9 +72,15 @@ def _reference(p1: Density, p2: Density, space: ProductSpace) -> Density:
 
 
 def marginalize(q12: Density) -> Density:
-    """First margin q1(x) = sum_z q12(x, z) mu2(z)."""
+    """First margin q1(x) = sum_z q12(x, z) mu2(z).
+
+    Row x is summed by :func:`~statbundle.core._row_masses`, as
+    ``np.dot(q12[x], mu2)``: these are the masses that divide the rows in
+    :func:`conditionals`, so q1(x) * q21(y|x) gives back q12(x, y) to one
+    ulp.
+    """
     space = _joint_space(q12)
-    return Density(space.left, _frozen(q12.values @ space.right.weights))
+    return Density(space.left, _frozen(_row_masses(q12.values, space.right.weights)))
 
 
 def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
@@ -76,12 +88,14 @@ def marginal_derivative(q12: Density, v: FiberVector) -> FiberVector:
 
     Returns x -> E_q[v | X = x], a fiber vector at the margin q1 that it
     divides by; its zero q1-expectation is the tower property and is
-    re-validated by the fiber constructor.
+    re-validated by the fiber constructor.  The numerator of row x is
+    ``np.dot(v[x] * q12[x], mu2)``, summed by
+    :func:`~statbundle.core._row_masses` as the margin is.
     """
     space = _joint_space(q12)
     _require_same_base(v, q12)
     q1 = marginalize(q12)
-    vals = (v.values * (q12.values * space.right.weights)).sum(axis=1) / q1.values
+    vals = _row_masses(v.values * q12.values, space.right.weights) / q1.values
     return FiberVector(q1, _frozen(vals), v.polarity)
 
 
@@ -141,7 +155,17 @@ def condition_chart_derivatives(
     return _centred_rows(rows, p2.values, p2.space.weights)
 
 
-@dataclass(frozen=True)
+def _conditional_kls(
+    p1: Density, p2: Density, space: ProductSpace, cond: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """D(p2 || q21(.|x)) of each row of the table ``cond``, and their
+    p1-average sum_x D(p2 || q21(.|x)) p1(x) mu1(x): the conditional term of
+    :func:`kl_chain` and the mean that :func:`exp_decompose` subtracts."""
+    cond_kl = _kl_rows(space.right.weights, p2.values, cond)
+    return cond_kl, float(np.sum(cond_kl * (p1.values * space.left.weights)))
+
+
+@dataclass(frozen=True, eq=False)
 class ChartDecomposition:
     """Exponential-chart split of a joint: u12 = u1 + u21 - centering.
 
@@ -149,6 +173,8 @@ class ChartDecomposition:
     q1 at p1, ``conditional`` the charts of q21(.|x) at p2, one row per x, and
     ``centering`` the x-indexed conditional-divergence term recentred to
     zero mean.  ``residual`` is the max-abs defect of the identity.
+    Decompositions compare and hash by identity, as their arrays do not
+    compare to one bool.
     """
 
     joint: np.ndarray
@@ -177,9 +203,8 @@ def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     mu2 = space.right.weights
     logratio = np.log(cond) - np.log(p2.values)
     u21 = _centred_rows(logratio, p2.values, mu2)
-    cond_kl = _kl_rows(mu2, p2.values, cond)
-    centering = _frozen(cond_kl - _expect(p1, cond_kl))
-    return ChartDecomposition(u12, u1, u21, centering)
+    cond_kl, average = _conditional_kls(p1, p2, space, cond)
+    return ChartDecomposition(u12, u1, u21, _frozen(cond_kl - average))
 
 
 @dataclass(frozen=True)
@@ -201,6 +226,5 @@ def kl_chain(p1: Density, p2: Density, q12: Density) -> KLChain:
     space = _joint_space(q12)
     total = kl(_reference(p1, p2, space), q12)
     marginal_term = kl(p1, marginalize(q12))
-    cond_kl = _kl_rows(space.right.weights, p2.values, conditionals(q12))
-    cond = float(np.sum(cond_kl * (p1.values * space.left.weights)))
+    cond = _conditional_kls(p1, p2, space, conditionals(q12))[1]
     return KLChain(total, marginal_term, cond)

@@ -100,7 +100,7 @@ def _tilt(p: Density, e: np.ndarray) -> tuple[np.ndarray, float]:
 
 def exp_chart(p: Density, q: Density) -> FiberVector:
     """Exponential chart centered at p: log(q/p) - E_p[log(q/p)]."""
-    _require_same_space(p.space, q.space)
+    _require_same_space(p, q)
     logratio = np.log(q.values) - np.log(p.values)
     return center(p, logratio, "exponential")
 
@@ -163,7 +163,7 @@ def _exp_chart_inv(p: Density, u: np.ndarray) -> Density:
 
 def mix_chart(p: Density, q: Density) -> FiberVector:
     """Mixture chart centered at p: q/p - 1 (zero p-expectation exactly)."""
-    _require_same_space(p.space, q.space)
+    _require_same_space(p, q)
     return FiberVector(p, _frozen(q.values / p.values - 1.0), "mixture")
 
 
@@ -190,14 +190,14 @@ def mix_chart_inv(p: Density, w: FiberVector) -> Density:
 def e_transport(p: Density, q: Density, v: FiberVector) -> FiberVector:
     """Exponential transport from p to q: v - E_q[v]."""
     _require_same_base(v, p)
-    _require_same_space(p.space, q.space)
+    _require_same_space(p, q)
     return center(q, v.values, v.polarity)
 
 
 def m_transport(p: Density, q: Density, w: FiberVector) -> FiberVector:
     """Mixture transport from p to q: (p/q) * w."""
     _require_same_base(w, p)
-    _require_same_space(p.space, q.space)
+    _require_same_space(p, q)
     return FiberVector(q, _frozen(p.values / q.values * w.values), w.polarity)
 
 

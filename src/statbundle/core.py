@@ -149,14 +149,28 @@ def _centring_bound(vals, q, mu, floor=1.0):
 
 
 def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum(row * weights) for each row of a (k, n) block.
+    """sum(row * weights) over the last axis: the one per-row sum.
 
     One (1, n) @ (n, 1) product per row, computed with the dot that
     ``np.dot(row, weights)`` makes (``rows @ weights`` sums in another
     order), so a :class:`Density`, checked as a one-row block, and the same
-    row inside a table get the same mass to the last bit.
+    row inside a table get the same mass to the last bit.  Leading axes
+    broadcast: ``weights`` is one (n,) vector for every row, or a block of
+    per-row weights, as (n1, n2) against rows of shape (d, n1, n2).
+
+    Every sum over the second factor that is a mass or the numerator of a
+    conditional expectation goes through here: the density and fiber checks,
+    the margin and the conditionals of :mod:`~statbundle.bayes`, the
+    derivative of marginalization, and the row sums of a family's moments.
+    So the margin is exactly the set of masses that normalise the
+    conditionals.  Other sums keep their own form, because tests pin their
+    bits: the means subtracted in centring (:func:`_centred_rows` and the
+    m and m_h of ``condition_chart_derivatives``), the KL rows,
+    :func:`_expect` and the rescaled path of :func:`_fiber_rows` stay
+    pairwise ``sum``s, and the statistics' combination one matrix-vector
+    product.
     """
-    return np.matmul(rows[:, None, :], weights[:, None])[:, 0, 0]
+    return np.matmul(rows[..., None, :], weights[..., :, None])[..., 0, 0]
 
 
 def _row_label(rows: np.ndarray, x: int) -> str:
@@ -358,11 +372,6 @@ class ProductSpace:
 Space = Union[SampleSpace, ProductSpace]
 
 
-def _require_same_space(a: Space, b: Space) -> None:
-    if a != b:
-        raise MismatchError("operands live on different sample spaces")
-
-
 @dataclass(frozen=True, eq=False)
 class Density:
     """A strictly positive normalized density relative to its space weights.
@@ -462,7 +471,22 @@ class FiberVector:
         return f"FiberVector(polarity={self.polarity!r}, n={self.values.size})"
 
 
+def _require_density(q) -> None:
+    if not isinstance(q, Density):
+        raise MismatchError(f"expected a density, not {type(q).__name__}")
+
+
+def _require_same_space(p: Density, q: Density) -> None:
+    """Both operands are densities, on one space."""
+    _require_density(p)
+    _require_density(q)
+    if p.space != q.space:
+        raise MismatchError("operands live on different sample spaces")
+
+
 def _require_same_base(v: FiberVector, q: Density) -> None:
+    if not isinstance(v, FiberVector):
+        raise MismatchError(f"expected a fiber vector, not {type(v).__name__}")
     if v.base != q:
         raise MismatchError("fiber vector is based at a different density")
 
@@ -509,6 +533,7 @@ def _expect(q: Density, arr: np.ndarray) -> float:
 
 def expect(q: Density, f) -> float:
     """E_q[f] = sum(f * q * mu)."""
+    _require_density(q)
     arr = _as_float_array(f, "integrand")
     if arr.shape != q.values.shape:
         raise MismatchError(
@@ -531,6 +556,7 @@ def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:
     ``f`` is centred as one row by :func:`_centred_rows`, whose check
     builds the vector, so that it is validated once.
     """
+    _require_density(q)
     arr = _as_float_array(f, "values")
     if arr.shape != q.values.shape:
         raise MismatchError(
@@ -562,5 +588,6 @@ def random_density(space: Space, seed) -> Density:
 
 def random_fiber(q: Density, seed, polarity: Polarity = "exponential") -> FiberVector:
     """A seeded random fiber vector at ``q`` (centered standard normals)."""
+    _require_density(q)
     rng = _rng(seed)
     return center(q, rng.standard_normal(q.values.shape), polarity)

@@ -49,7 +49,7 @@ def _kl_rows(mu: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def kl(q: Density, r: Density) -> float:
     """D(q||r) = sum(q * log(q/r) * mu) >= 0, zero iff q == r."""
-    _require_same_space(q.space, r.space)
+    _require_same_space(q, r)
     return float(
         _kl_rows(q.space.weights.ravel(), q.values.ravel(), r.values.ravel())
     )
@@ -61,7 +61,7 @@ def structural_reconstruct(p: Density, q: Density) -> Density:
     Callers assert equality with q; the identity is exact in real
     arithmetic because D(p||q) = K_p(s_p(q)) is the chart normalizer.
     """
-    _require_same_space(p.space, q.space)
+    _require_same_space(p, q)
     d = kl(p, q)  # before the chart, so that their temporaries do not meet
     s = exp_chart(p, q)
     return Density(p.space, _frozen(_tilt(p, s.values - d)[0]))
@@ -70,14 +70,14 @@ def structural_reconstruct(p: Density, q: Density) -> Density:
 def grad1_kl(q: Density, r: Density) -> FiberVector:
     """First-slot natural gradient of D(q||r): -s_q(r), a fiber vector at q,
     as log q - log r centred at q."""
-    _require_same_space(q.space, r.space)
+    _require_same_space(q, r)
     return center(q, np.log(q.values) - np.log(r.values))
 
 
 def grad2_kl(q: Density, r: Density) -> FiberVector:
     """Second-slot natural gradient of D(q||r): -eta_r(q) = 1 - q/r, a fiber
     vector at r."""
-    _require_same_space(q.space, r.space)
+    _require_same_space(q, r)
     return FiberVector(r, _frozen(1.0 - q.values / r.values), "mixture")
 
 
@@ -106,7 +106,7 @@ def common_param_gradient(M: Density, N: Density, dlogM, dlogN) -> np.ndarray:
 
     Validated against central differences of D(M(theta)||N(theta)).
     """
-    _require_same_space(M.space, N.space)
+    _require_same_space(M, N)
     dM = [_as_float_array(a, "dlogM") for a in dlogM]
     dN = [_as_float_array(a, "dlogN") for a in dlogN]
     if len(dM) != len(dN):

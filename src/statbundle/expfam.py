@@ -29,8 +29,9 @@ Consequences used throughout:
 * the Fisher matrix of the margin family is C diag(G1*mu1) C^T.
 
 The moments of T under G come from one contraction, ``_moments``, that
-allocates no (d, n1, n2) array: its row sums give the conditional
-expectations E_G[T_j | X = x] of C and, by the tower property
+allocates no (d, n1, n2) array: its row sums, the per-row dot of
+:func:`~statbundle.core._row_masses` that also sums the margin G1, give the
+conditional expectations E_G[T_j | X = x] of C and, by the tower property
 E_G[T] = E_G1[E_G[T | X]], the mean E_G[T] that ``grad_psi`` returns.
 
 :func:`natural_gradient_flow` descends either objective along the
@@ -57,6 +58,7 @@ from .core import (
     _as_int,
     _centred_rows,
     _frozen,
+    _row_masses,
     product_density,
 )
 from .charts import _cumulant, _exp_chart_inv
@@ -132,6 +134,10 @@ def make_expfam(p1: Density, p2: Density, raw_stats) -> ExpFamily:
 
 
 def _check_theta(family: ExpFamily, theta) -> np.ndarray:
+    if not isinstance(family, ExpFamily):
+        raise MismatchError(
+            f"expected an exponential family, not {type(family).__name__}"
+        )
     arr = np.atleast_1d(_as_float_array(theta, "theta"))
     if arr.shape != (family.dim,):
         raise MismatchError(
@@ -205,11 +211,15 @@ def conditional_velocities(family: ExpFamily, theta, thetadot) -> np.ndarray:
 
 
 def _moments(family: ExpFamily, g: Density) -> tuple[np.ndarray, np.ndarray]:
-    """The (d, n1) row sums S[j, x] = sum_y T_j(x, y) G(x, y) mu2(y), in one
-    contraction that allocates nothing of the statistics' (d, n1, n2) size,
-    and E_G[T] = S @ mu1; E_G[T_j | X = x] is S[j, x] / G1(x)."""
-    mu2 = family.space.right.weights
-    sums = np.einsum("jxy,xy->jx", family.stats, g.values * mu2)
+    """The (d, n1) row sums S[j, x] = sum_y T_j(x, y) G(x, y) mu2(y) and
+    E_G[T] = S @ mu1; E_G[T_j | X = x] is S[j, x] / G1(x).
+
+    S[j, x] is ``np.dot(T_j[x], (G * mu2)[x])``, the per-row sum of
+    :func:`~statbundle.core._row_masses` that also gives the margin G1, in
+    one contraction that allocates nothing of the statistics' (d, n1, n2)
+    size.
+    """
+    sums = _row_masses(family.stats, g.values * family.space.right.weights)
     return sums, sums @ family.space.left.weights
 
 
@@ -259,14 +269,15 @@ def kl_theta_gradient_right(family: ExpFamily, theta, r1: Density) -> np.ndarray
     return _theta_gradient(family, theta, r1, "right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowRecord:
     """One accepted state of a natural-gradient flow.
 
     ``grad_norm`` is the Euclidean norm of the gradient g at ``theta`` and
     ``step_norm`` that of the natural direction F^-1 g, the quantity the
     flow's ``tol`` is compared with.  ``step`` is the accepted step length,
-    reached from the initial one by ``halvings`` halvings.
+    reached from the initial one by ``halvings`` halvings.  Records, like
+    traces, compare and hash by identity.
     """
 
     iteration: int
@@ -278,7 +289,7 @@ class FlowRecord:
     step_norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowTrace:
     """Natural-gradient trajectory; records carry strictly increasing iterations.
 

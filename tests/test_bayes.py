@@ -50,6 +50,40 @@ class TestMarginalize:
             sb.marginalize(q)
 
 
+class TestOneRowSum:
+    """The margin, the masses that normalise the conditionals and the
+    numerators of conditional expectations are one per-row dot."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (17, 5), (64, 64), (200, 300)])
+    def test_margin_times_conditionals_is_the_joint_to_one_ulp(self, shape):
+        for seed in range(4):
+            rng = np.random.default_rng([50, *shape, seed])
+            space = sb.ProductSpace(sb.make_space(rng.uniform(0.2, 2.0, shape[0])),
+                                    sb.make_space(rng.uniform(0.2, 2.0, shape[1])))
+            q12 = sb.random_density(space, rng)
+            rebuilt = sb.marginalize(q12).values[:, None] * sb.conditionals(q12)
+            assert np.all(np.abs(rebuilt - q12.values) <= np.spacing(q12.values))
+
+    def test_margin_rows_are_np_dot(self):
+        for seed in range(30):
+            q12 = random_joint(2 + seed % 7, 2 + 3 * seed, [51, seed])
+            mu2 = q12.space.right.weights
+            expected = np.array([np.dot(row, mu2) for row in q12.values])
+            assert sb.marginalize(q12).values.tobytes() == expected.tobytes()
+
+    def test_conditional_expectation_numerators_are_np_dot(self):
+        for seed in range(30):
+            q12 = random_joint(2 + seed % 7, 2 + 3 * seed, [52, seed])
+            v = sb.random_fiber(q12, [53, seed])
+            mu2 = q12.space.right.weights
+            q1 = sb.marginalize(q12).values
+            expected = np.array([
+                np.dot(vx * qx, mu2) for vx, qx in zip(v.values, q12.values)
+            ]) / q1
+            got = sb.marginal_derivative(q12, v).values
+            assert got.tobytes() == expected.tobytes()
+
+
 class TestCondition:
     def test_product_joint_is_independent(self):
         p1 = sb.random_density(sb.make_space([0.5, 0.5, 1.0]), 3)
@@ -476,6 +510,31 @@ class TestChartDecomposition:
         p_ok = sb.uniform_density(q12.space.right)
         with pytest.raises(sb.MismatchError, match="reference densities"):
             sb.exp_decompose(p_wrong, p_ok, q12)
+
+    def test_centering_subtracts_the_chain_rule_average(self):
+        # the mean taken from the conditional divergences is kl_chain's
+        # conditional term, bit for bit
+        for seed in range(40):
+            q12 = random_joint(2 + seed % 5, 2 + seed % 9, [54, seed])
+            p1 = sb.random_density(q12.space.left, [55, seed])
+            p2 = sb.random_density(q12.space.right, [56, seed])
+            kls = np.array([
+                sb.kl(p2, sb.Density(q12.space.right, row))
+                for row in sb.conditionals(q12)
+            ])
+            expected = kls - sb.kl_chain(p1, p2, q12).conditional_term
+            got = sb.exp_decompose(p1, p2, q12).centering
+            assert got.tobytes() == expected.tobytes()
+
+    def test_compares_and_hashes_by_identity(self):
+        # The generated __eq__ compared the arrays inside a tuple, which
+        # raised on their ambiguous truth value; the hash raised too.
+        q12 = random_joint(3, 4, 57)
+        p1, p2 = sb.uniform_density(q12.space.left), sb.uniform_density(q12.space.right)
+        a, b = sb.exp_decompose(p1, p2, q12), sb.exp_decompose(p1, p2, q12)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
 
     def test_residual_is_the_defect_of_the_identity(self):
         q12 = random_joint(4, 5, 39)

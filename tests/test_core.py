@@ -771,6 +771,34 @@ def test_constructors_refuse_the_wrong_type(two_point, entry):
         call(p, space)
 
 
+NOT_A_DENSITY = "expected a density, not"
+NOT_A_VECTOR = "expected a fiber vector, not"
+OPERATIONS_ON_THE_WRONG_TYPE = {
+    "center": (lambda p, s: sb.center(s, [0, 0]), f"{NOT_A_DENSITY} SampleSpace"),
+    "expect": (lambda p, s: sb.expect(s, [0, 0]), f"{NOT_A_DENSITY} SampleSpace"),
+    "random_fiber": (lambda p, s: sb.random_fiber(s, 1), f"{NOT_A_DENSITY} SampleSpace"),
+    "kl-left": (lambda p, s: sb.kl(s, p), f"{NOT_A_DENSITY} SampleSpace"),
+    "kl-right": (lambda p, s: sb.kl(p, s), f"{NOT_A_DENSITY} SampleSpace"),
+    "exp_chart": (lambda p, s: sb.exp_chart(s, p), f"{NOT_A_DENSITY} SampleSpace"),
+    "marginalize": (lambda p, s: sb.marginalize(sb.ProductSpace(s, s)),
+                    f"{NOT_A_DENSITY} ProductSpace"),
+    "pairing": (lambda p, s: sb.pairing(p, [0, 0], [0, 0]), f"{NOT_A_VECTOR} list"),
+    "cumulant": (lambda p, s: sb.cumulant(p, [0.0, 0.0]), f"{NOT_A_VECTOR} list"),
+    "psi": (lambda p, s: sb.psi([1], [0.0]),
+            "expected an exponential family, not list"),
+}
+
+
+@pytest.mark.parametrize("entry", OPERATIONS_ON_THE_WRONG_TYPE)
+def test_operations_refuse_the_wrong_type(two_point, entry):
+    # A space or a list where a density, a fiber vector or a family belongs
+    # raised AttributeError from inside the operation.
+    space, p, _, _ = two_point
+    call, message = OPERATIONS_ON_THE_WRONG_TYPE[entry]
+    with pytest.raises(sb.MismatchError, match=f"^{message}$"):
+        call(p, space)
+
+
 def test_equal_values_compare_and_hash_equal():
     # Distinct objects built from equal values are equal, hash alike, and
     # so serve as the same dict key and set member.

@@ -358,6 +358,20 @@ class TestCombine:
             assert got.tobytes() == np.tensordot(coef, fam.stats, axes=1).tobytes()
 
 
+class TestMoments:
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 6, 5), (3, 64, 64), (3, 200, 200),
+                                       (4, 200, 300)])
+    def test_row_sums_are_np_dot(self, shape):
+        # The moments' row sums are the per-row dot that sums the margin.
+        fam = random_family(*shape[1:], shape[0], [58, *shape])
+        g = sb.density(fam, np.linspace(-0.5, 0.5, shape[0]))
+        weighted = g.values * fam.space.right.weights
+        expected = np.array([
+            [np.dot(row, w) for row, w in zip(stat, weighted)] for stat in fam.stats
+        ])
+        assert sb.expfam._moments(fam, g)[0].tobytes() == expected.tobytes()
+
+
 class TestGradPsi:
     def test_zero_at_origin(self, diag_family):
         np.testing.assert_allclose(sb.grad_psi(diag_family, [0.0]), 0.0,
@@ -645,6 +659,19 @@ class TestParameterGradients:
 
 
 class TestFlow:
+    def test_records_and_traces_compare_and_hash_by_identity(self):
+        # The generated __eq__ compared two-entry thetas inside a tuple,
+        # which raised on their ambiguous truth value, and the list of
+        # records made the hash of a trace raise.
+        fam = random_family(4, 3, 2, 59)
+        target = sb.random_density(fam.space.left, 60)
+        a, b = (sb.natural_gradient_flow(fam, [0.5, -0.5], target, iters=3)
+                for _ in range(2))
+        for x, y in ((a, b), (a.final, b.final)):
+            assert x == x and x != y
+            assert hash(x) == hash(x)
+            assert len({x, y}) == 2
+
     def test_already_converged_single_record(self, margin_family):
         r1 = sb.uniform_density(margin_family.space.left)
         trace = sb.natural_gradient_flow(
