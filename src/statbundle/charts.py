@@ -33,6 +33,7 @@ from .core import (
     _frozen,
     _require_same_base,
     _require_same_space,
+    _row_masses,
     center,
 )
 from .findiff import fd_vector_curve
@@ -86,7 +87,7 @@ def _cumulant(p: Density, u: np.ndarray) -> float:
         shifted = u - m
     # Dividing by the mass of p rather than 1 pins cumulant(p, 0) == 0
     # exactly, even when it is 1 only up to float round-off.
-    base = float(np.dot(p.values.ravel(), p.space.weights.ravel()))
+    base = float(_row_masses(p.values.ravel(), p.space.weights.ravel()))
     return float(m + np.log(_tilt(p, shifted)[1]) - np.log(base))
 
 
@@ -95,7 +96,7 @@ def _tilt(p: Density, e: np.ndarray) -> tuple[np.ndarray, float]:
     the one tilt of the inverse chart, the cumulant and the structural equation."""
     np.exp(e, out=e)
     e *= p.values
-    return e, float(np.dot(e.ravel(), p.space.weights.ravel()))
+    return e, float(_row_masses(e.ravel(), p.space.weights.ravel()))
 
 
 def exp_chart(p: Density, q: Density) -> FiberVector:

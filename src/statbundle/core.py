@@ -148,28 +148,55 @@ def _centring_bound(vals, q, mu, floor=1.0):
     return FIBER_ATOL * np.maximum(floor, np.sum(np.abs(vals) * q * mu, axis=-1))
 
 
+# The most terms that one dot of _row_masses sums (see there).
+_MASS_BLOCK = 10_000
+
+
 def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum(row * weights) over the last axis: the one per-row sum.
+    """sum(row * weights) over the last axis: the one mass sum.
 
-    One (1, n) @ (n, 1) product per row, computed with the dot that
-    ``np.dot(row, weights)`` makes (``rows @ weights`` sums in another
-    order), so a :class:`Density`, checked as a one-row block, and the same
-    row inside a table get the same mass to the last bit.  Leading axes
-    broadcast: ``weights`` is one (n,) vector for every row, or a block of
-    per-row weights, as (n1, n2) against rows of shape (d, n1, n2).
+    A 1-d vector is summed by ``np.dot(rows, weights)``, to a scalar.  A
+    block of rows gets one (1, n) @ (n, 1) product per row, computed with
+    the same dot (``rows @ weights`` sums in another order), so a
+    :class:`Density`, checked as a one-row block, and the same row inside a
+    table get the same mass to the last bit.  Leading axes broadcast:
+    ``weights`` is one (n,) vector for every row, or a block of per-row
+    weights, as (n1, n2) against rows of shape (d, n1, n2).
 
-    Every sum over the second factor that is a mass or the numerator of a
-    conditional expectation goes through here: the density and fiber checks,
-    the margin and the conditionals of :mod:`~statbundle.bayes`, the
-    derivative of marginalization, and the row sums of a family's moments.
-    So the margin is exactly the set of masses that normalise the
-    conditionals.  Other sums keep their own form, because tests pin their
-    bits: the means subtracted in centring (:func:`_centred_rows` and the
-    m and m_h of ``condition_chart_derivatives``), the KL rows,
-    :func:`_expect` and the rescaled path of :func:`_fiber_rows` stay
-    pairwise ``sum``s, and the statistics' combination one matrix-vector
-    product.
+    A row of more than ``_MASS_BLOCK`` = 10,000 terms is summed as
+    consecutive views of 10,000 terms, the last one shorter, whose dots
+    are added from the first to the last.  OpenBLAS sums a dot of up to
+    10,000 terms on one thread and splits a longer one across its threads
+    (10,001 terms differ between one thread and two; 10,000 do not), so no
+    mass depends on the BLAS thread count.
+
+    Every mass goes through here: the density and fiber checks, the total
+    mass of a tilt, of a cumulant's base and of a random density, the
+    margin and the conditionals of :mod:`~statbundle.bayes`, the derivative
+    of marginalization, and the row sums of a family's moments.  So the
+    margin is exactly the set of masses that normalise the conditionals.
+    Other sums keep their own form, because tests pin their bits: the
+    means subtracted in centring (:func:`_centred_rows` and the m and m_h
+    of ``condition_chart_derivatives``), the KL rows, :func:`_expect` and
+    the rescaled path of :func:`_fiber_rows` stay pairwise ``sum``s, and
+    the statistics' combination one matrix-vector product.
     """
+    n = rows.shape[-1]
+    if n > _MASS_BLOCK:
+        # The whole blocks in one call, as rows of 10,000 terms, whose dots
+        # accumulate from the first to the last; then the rest.
+        k, rest = divmod(n, _MASS_BLOCK)
+        end = n - rest
+        dots = _row_masses(
+            rows[..., :end].reshape(*rows.shape[:-1], k, _MASS_BLOCK),
+            weights[..., :end].reshape(*weights.shape[:-1], k, _MASS_BLOCK),
+        )
+        total = np.add.accumulate(dots, axis=-1)[..., -1]
+        if rest:
+            total = total + _row_masses(rows[..., end:], weights[..., end:])
+        return total
+    if rows.ndim == 1:
+        return np.dot(rows, weights)
     return np.matmul(rows[..., None, :], weights[..., :, None])[..., 0, 0]
 
 
@@ -191,8 +218,8 @@ def _density_rows(weights: np.ndarray, rows: np.ndarray, shape=None) -> np.ndarr
     # -inf, and +inf fails the drift test.  Anything else takes the checks
     # below, in their order, so that the first rule broken is the one named.
     if rows.min() >= POSITIVITY_FLOOR:
-        if len(rows) == 1:  # a Density: its mass as a scalar, the same np.dot
-            drift = abs(np.dot(rows[0], weights) - 1.0)
+        if len(rows) == 1:  # a Density: its mass as a scalar, the same dots
+            drift = abs(_row_masses(rows[0], weights) - 1.0)
         else:
             drift = np.abs(_row_masses(rows, weights) - 1.0).max()
         if drift <= NORMALIZATION_ATOL:
@@ -581,9 +608,9 @@ def random_density(space: Space, seed) -> Density:
     rng = _rng(seed)
     g = rng.standard_normal(space.weights.shape)
     g -= g.max()
-    e = np.exp(g)
-    e /= float(np.dot(e.ravel(), space.weights.ravel()))
-    return Density(space, _frozen(e))
+    np.exp(g, out=g)
+    g /= float(_row_masses(g.ravel(), space.weights.ravel()))
+    return Density(space, _frozen(g))
 
 
 def random_fiber(q: Density, seed, polarity: Polarity = "exponential") -> FiberVector:

@@ -58,6 +58,7 @@ from .core import (
     _as_int,
     _centred_rows,
     _frozen,
+    _require_density,
     _row_masses,
     product_density,
 )
@@ -224,6 +225,7 @@ def _moments(family: ExpFamily, g: Density) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_margin(family: ExpFamily, r1: Density) -> None:
+    _require_density(r1)
     if r1.space != family.space.left:
         raise MismatchError("target margin lives on a different space")
 

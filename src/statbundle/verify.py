@@ -97,9 +97,12 @@ class CheckResult:
         return self.max_residual <= self.threshold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Report:
-    """Results of a verification run; overall pass iff every check passes."""
+    """Results of a verification run; overall pass iff every check passes.
+
+    Reports, like flow traces, compare and hash by identity.
+    """
 
     checks: list[CheckResult]
     seed: int

@@ -197,14 +197,21 @@ class TestExpChartInvInPlace:
             assert np.shares_memory(got, scratch)
 
     def test_fast_path_has_the_bits_of_the_plain_formula_on_joints(self):
+        # The mass of 40,000 terms is the dots of four 10,000-term blocks,
+        # added in order.
         rng = np.random.default_rng(200200)
         space = sb.ProductSpace(sb.make_space(rng.uniform(0.2, 2.0, 200)),
                                 sb.make_space(rng.uniform(0.2, 2.0, 200)))
+        w = space.weights.ravel()
         for _ in range(5):
             p = sb.random_density(space, rng)
             v = sb.center(p, 3.0 * rng.standard_normal((200, 200)))
             e = np.exp(v.values - v.values.max()) * p.values
-            expected = e / float(np.dot(e.ravel(), space.weights.ravel()))
+            flat = e.ravel()
+            mass = np.dot(flat[:10_000], w[:10_000])
+            for start in (10_000, 20_000, 30_000):
+                mass = mass + np.dot(flat[start:start + 10_000], w[start:start + 10_000])
+            expected = e / float(mass)
             got = sb.exp_chart_inv(p, v).values
             assert got.tobytes() == expected.tobytes()
 

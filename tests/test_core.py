@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +343,62 @@ def test_one_row_mass_matches_table_row(n):
         one = _row_masses(table[i : i + 1], weights)
         assert one.shape == (1,)
         assert one.tobytes() == masses[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("n", [10_000, 10_001, 25_000])
+def test_long_rows_are_summed_in_blocks_of_10000(n):
+    # A vector, a one-row block and a row of a table get the dots of
+    # consecutive 10,000-term blocks, added in order.
+    rng = np.random.default_rng(n)
+    weights = rng.uniform(0.2, 2.0, n)
+    table = rng.random((3, n))
+    masses = _row_masses(table, weights)
+    for i, row in enumerate(table):
+        expected = np.dot(row[:10_000], weights[:10_000])
+        for start in range(10_000, n, 10_000):
+            expected = expected + np.dot(row[start:start + 10_000],
+                                         weights[start:start + 10_000])
+        assert _row_masses(row, weights).tobytes() == expected.tobytes()
+        assert _row_masses(table[i : i + 1], weights)[0] == expected
+        assert masses[i] == expected
+
+
+# The joint masses of the 200x300 verify instances and of a 200x200 flow
+# sum more than 10,000 terms, which one OpenBLAS dot splits across threads.
+_THREAD_PROBE = """
+import numpy as np
+import statbundle as sb
+
+report = sb.run_verification(seed=1, trials=1, sizes=[(200, 300)])
+for check in report.checks:
+    print(check.name, repr(check.max_residual))
+rng = np.random.default_rng(25)
+space = sb.ProductSpace(sb.make_space(rng.uniform(0.2, 2.0, 200)),
+                        sb.make_space(rng.uniform(0.2, 2.0, 200)))
+stats = rng.standard_normal((2, 200, 1)) + 0.3 * rng.standard_normal((2, 200, 200))
+fam = sb.make_expfam(sb.random_density(space.left, rng),
+                     sb.random_density(space.right, rng), stats)
+target = sb.marginalize(sb.density(fam, rng.uniform(-1.0, 1.0, 2)))
+for record in sb.natural_gradient_flow(fam, np.zeros(2), target).records:
+    print(record.theta.tobytes().hex())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    package_root = str(Path(sb.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+    def run(threads):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    one = run("1")
+    assert one.count("\n") > len(sb.verify.CHECKS)
+    assert run("2") == one
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +831,11 @@ def test_constructors_refuse_the_wrong_type(two_point, entry):
         call(p, space)
 
 
+def _margin_family(p):
+    """The 2x2 family on p (x) p whose statistic moves the first margin."""
+    return sb.make_expfam(p, p, [[[1.0, 1.0], [-1.0, -1.0]]])
+
+
 NOT_A_DENSITY = "expected a density, not"
 NOT_A_VECTOR = "expected a fiber vector, not"
 OPERATIONS_ON_THE_WRONG_TYPE = {
@@ -786,6 +851,15 @@ OPERATIONS_ON_THE_WRONG_TYPE = {
     "cumulant": (lambda p, s: sb.cumulant(p, [0.0, 0.0]), f"{NOT_A_VECTOR} list"),
     "psi": (lambda p, s: sb.psi([1], [0.0]),
             "expected an exponential family, not list"),
+    "kl_theta_gradient_left": (
+        lambda p, s: sb.kl_theta_gradient_left(_margin_family(p), [0.0], s),
+        f"{NOT_A_DENSITY} SampleSpace"),
+    "kl_theta_gradient_right": (
+        lambda p, s: sb.kl_theta_gradient_right(_margin_family(p), [0.0], s),
+        f"{NOT_A_DENSITY} SampleSpace"),
+    "natural_gradient_flow": (
+        lambda p, s: sb.natural_gradient_flow(_margin_family(p), [0.0], s),
+        f"{NOT_A_DENSITY} SampleSpace"),
 }
 
 

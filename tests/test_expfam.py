@@ -340,6 +340,13 @@ class TestTransientMemory:
         ))
         assert peak <= 2.5 * self.FULL
 
+    def test_random_density(self):
+        # The draw is exponentiated and normalised in place and adopted.
+        space = sb.ProductSpace(sb.make_space(np.ones(200)), sb.make_space(np.ones(300)))
+        sb.random_density(space, 1)  # numpy imports its generators on first use
+        peak = traced_peak(lambda: sb.random_density(space, 1))
+        assert peak <= 1.5 * 200 * 300 * 8
+
 
 class TestCombine:
     @pytest.mark.parametrize("shape", [(1, 2, 2), (2, 6, 5), (3, 64, 64), (3, 200, 200),

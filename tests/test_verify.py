@@ -40,6 +40,15 @@ def test_deterministic_in_seed():
     assert [c.max_residual for c in a.checks] == [c.max_residual for c in b.checks]
 
 
+def test_reports_compare_and_hash_by_identity():
+    # The generated hash of the frozen report hashed its list of checks,
+    # which raised TypeError.
+    a, b = (run_verification(names=["kl-chain"], trials=1) for _ in range(2))
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 def test_tiny_slack_fails():
     report = run_verification(
         seed=5, trials=2, sizes=[(2, 2)], slack=1e-30, names=["kl-chain"]
