@@ -163,7 +163,10 @@ def _exp_chart_inv(p: Density, u: np.ndarray) -> Density:
 
 
 def mix_chart(p: Density, q: Density) -> FiberVector:
-    """Mixture chart centered at p: q/p - 1 (zero p-expectation exactly)."""
+    """Mixture chart centered at p: q/p - 1 (zero p-expectation exactly).
+    Where q/p is below about 1.1e-16, w rounds to -1 and :func:`mix_chart_inv`
+    raises BoundaryError: q = (2 - 1e-17, 1e-17) against uniform p on weights
+    (0.5, 0.5) does not round-trip."""
     _require_same_space(p, q)
     return FiberVector(p, _frozen(q.values / p.values - 1.0), "mixture")
 
@@ -181,7 +184,7 @@ def mix_chart_inv(p: Density, w: FiberVector) -> Density:
     if bad.size:
         i = int(bad[0])
         raise BoundaryError(
-            f"mixture chart image leaves the model: 1 + w = {flat[i]!r} "
+            f"mixture chart image leaves the model: 1 + w = {float(flat[i])!r} "
             f"at index {_coord_label(scaled.shape, i)}"
         )
     scaled *= p.values

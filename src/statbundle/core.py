@@ -56,29 +56,55 @@ class MismatchError(StatBundleError):
 
 
 _FLOAT = np.dtype(float)
+_SEQUENCES = {list, tuple}
+
+
+def _odd_leaf(values) -> str | None:
+    """The type of a leaf of nested lists and tuples whose numpy dtype is not
+    an integer or a float kind, the rule for an array argument, or None.  An
+    array leaf is judged by its dtype, and an innermost list by the set of
+    its leaf types.  A list beside numbers raises ``ValueError``."""
+    if type(values) is np.ndarray:
+        return None if values.dtype.kind in "iuf" else str(values.dtype)
+    kinds = {*map(type, values)}
+    if kinds <= {int, float}:  # the common case
+        return None
+    if not kinds.isdisjoint(_SEQUENCES):
+        if not kinds - _SEQUENCES <= {np.ndarray}:
+            raise ValueError("a list beside numbers")
+        return next(filter(None, map(_odd_leaf, values)), None)
+    for kind in kinds - {np.ndarray}:
+        if np.dtype(kind).kind not in "iuf":
+            return kind.__name__
+    arrays = [v for v in values if type(v) is np.ndarray]
+    return next(filter(None, map(_odd_leaf, arrays)), None)
 
 
 def _float_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array; only integer and float arrays qualify.
-
-    ``np.asarray(..., dtype=float)`` alone would read the string ``"0.5"``
-    as 0.5 and ``True`` as 1.0, and raise a bare ``ValueError`` on other
-    strings.  Strings, bytes, booleans, complex numbers and Python objects
-    are rejected by their dtype alone, without a pass over the values, and
-    a float array is returned as it is.  One made here is handed over with
-    :func:`_frozen`, so that a constructor keeps it without a second copy.
-    """
+    """``values`` as a float array: the one reader of numeric input, files
+    included.  Only integers and floats qualify, where numpy would read the
+    string ``"0.5"`` as 0.5 and ``True`` as 1.0.  An array is judged by its
+    dtype, without a pass over its values, and a float array is returned as
+    it is.  A list or tuple is judged by :func:`_odd_leaf` and converted
+    with ``dtype=float``, so that 2**64 reads as a float.  An array made
+    here is handed over with :func:`_frozen`, to be kept without a copy."""
     try:
-        arr = np.asarray(values)
-    except ValueError:  # a ragged nesting
-        raise StatBundleError(f"{name} is not a rectangular array") from None
-    if arr.dtype is not _FLOAT:
-        if arr.dtype.kind not in "iuf":
-            raise StatBundleError(
-                f"{name} must hold integers or floats, not {arr.dtype}"
-            )
-        return _frozen(arr.astype(float))
-    return _frozen(arr) if type(values) in (list, tuple) else arr
+        if type(values) in _SEQUENCES:
+            odd = _odd_leaf(values)
+            if odd is None:
+                return _frozen(np.asarray(values, dtype=float))
+        else:
+            arr = np.asarray(values)
+            if arr.dtype is _FLOAT:
+                return arr
+            if arr.dtype.kind in "iuf":
+                return _frozen(arr.astype(float))
+            odd = arr.dtype
+    except ValueError:
+        raise StatBundleError(f"{name} is not a rectangular array (ragged)") from None
+    except OverflowError:
+        raise StatBundleError(f"{name} holds an int too large for a float") from None
+    raise StatBundleError(f"{name} must hold integers or floats, not {odd}")
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -335,7 +361,7 @@ class SampleSpace:
             raise StatBundleError("a sample space needs at least 2 outcomes")
         if w.min() <= 0.0:
             i = int(np.flatnonzero(w <= 0.0)[0])
-            raise BoundaryError(f"non-positive weight {w[i]!r} at index {i}")
+            raise BoundaryError(f"non-positive weight {float(w[i])!r} at index {i}")
         object.__setattr__(self, "weights", _freeze(w))
 
     @property

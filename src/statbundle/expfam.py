@@ -85,8 +85,9 @@ class ExpFamily:
     :func:`~statbundle.core._centred_rows` and checked, as every fiber
     vector is, against the tolerance scaled by its magnitude.  Raises
     :class:`IdentifiabilityError` when the Gram matrix of the centered
-    statistics under the base pairing has an eigenvalue at or below 1e-10,
-    and :class:`StatBundleError` when there is no statistic.
+    statistics under the base pairing has an eigenvalue at or below 1e-10
+    times its largest, a verdict that does not depend on their scale, and
+    :class:`StatBundleError` when there is no statistic.
     """
 
     base1: Density
@@ -107,11 +108,12 @@ class ExpFamily:
         base, mu = p12.values.ravel(), p12.space.weights.ravel()
         centered = _centred_rows(arr.reshape(arr.shape[0], -1), base, mu)
         gram = (centered * (base * mu)) @ centered.T
-        smallest = float(np.linalg.eigvalsh(gram)[0])
-        if smallest <= GRAM_EIGENVALUE_FLOOR:
+        smallest, largest = np.linalg.eigvalsh(gram)[[0, -1]]
+        if smallest <= GRAM_EIGENVALUE_FLOOR * largest:
             raise IdentifiabilityError(
                 f"statistics are linearly dependent: smallest Gram eigenvalue "
-                f"{smallest:.3e} <= {GRAM_EIGENVALUE_FLOOR:.0e}"
+                f"{smallest:.3e} <= {GRAM_EIGENVALUE_FLOOR:.0e} times the "
+                f"largest {largest:.3e}"
             )
         object.__setattr__(self, "stats", centered.reshape(arr.shape))
         object.__setattr__(self, "base12", p12)

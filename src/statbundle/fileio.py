@@ -9,11 +9,14 @@ Inputs are hand-editable JSON:
              "stats": [[[...], ...], ...]}
 * velocity: {"values": [[...], ...]}  (a fiber vector at a given joint)
 
-A file that is not valid JSON, or an array that is ragged or holds
-anything but JSON numbers (a string such as ``"0.4"``, a boolean, null),
-is a :class:`StatBundleError` naming the file and the key.  Every other
-error in a file's content, such as a shape that does not match, names the
-file.
+Each loader loads the file, reads every array in it and only then builds
+its objects, all in one ``with _from_file(path)`` block.  An array is read
+by :func:`~statbundle.core._float_array`, the rule for every numeric
+argument of the library, so one that is ragged or holds anything but
+numbers (a string such as ``"0.4"``, a boolean, null) is a
+:class:`StatBundleError` naming its key.  Every error raised in the block,
+a file that is not valid JSON or a shape that does not match included,
+names the file once.
 
 Outputs are CSV with every float printed to 17 significant digits, which
 round-trips float64 exactly, so reruns with identical configuration are
@@ -40,7 +43,7 @@ from .core import (
     FiberVector,
     ProductSpace,
     StatBundleError,
-    _frozen,
+    _float_array,
     make_space,
 )
 from .expfam import ExpFamily, make_expfam
@@ -49,100 +52,66 @@ from .expfam import ExpFamily, make_expfam
 _BLOCK_ROWS = 4096
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise StatBundleError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise StatBundleError(f"{path}: expected a JSON object at top level")
-    return obj
-
-
-def _require(obj: dict, key: str, path) -> object:
+def _require(obj: dict, key: str) -> object:
     if key not in obj:
-        raise StatBundleError(f"{path}: missing required key {key!r}")
+        raise StatBundleError(f"missing required key {key!r}")
     return obj[key]
 
 
-def _numbers_only(obj) -> bool:
-    """True if every leaf of nested JSON lists is a JSON number.
-
-    ``np.asarray(..., dtype=float)`` would read ``"0.4"`` as 0.4, ``true``
-    as 1.0 and ``null`` as nan, so those are rejected here.  A list beside
-    numbers raises ``ValueError``: the nesting is not rectangular.
-    """
-    if type(obj) is list:
-        if obj and type(obj[0]) is not list:
-            kinds = {*map(type, obj)}
-            if list in kinds:
-                raise ValueError("a list beside numbers: the nesting is ragged")
-            return kinds <= {int, float}
-        return all(map(_numbers_only, obj))
-    return type(obj) is int or type(obj) is float
+def _floats(obj: dict, key: str) -> np.ndarray:
+    """``obj[key]`` read as every numeric argument is read."""
+    return _float_array(_require(obj, key), f"key {key!r}")
 
 
-def _floats(obj: dict, key: str, path) -> np.ndarray:
-    """``obj[key]`` as a float array, or an error naming the file and key."""
-    raw = _require(obj, key, path)
-    try:
-        if _numbers_only(raw):
-            return _frozen(np.asarray(raw, dtype=float))
-        problem = "found a string, boolean, null or object"
-    except (ValueError, OverflowError) as exc:  # ragged, or an int too large
-        problem = str(exc)
-    raise StatBundleError(
-        f"{path}: key {key!r} must be a rectangular array of numbers ({problem})"
-    )
-
-
-def _weights(obj: dict, key: str, path) -> np.ndarray:
-    """The weights of the space ``obj[key]``, read as :func:`_floats` reads."""
-    space = _require(obj, key, path)
+def _weights(obj: dict, key: str) -> np.ndarray:
+    """The weights of the space ``obj[key]``."""
+    space = _require(obj, key)
     if not isinstance(space, dict) or "weights" not in space:
-        raise StatBundleError(f'{path}: a space must be {{"weights": [...]}}')
-    return _floats(space, "weights", path)
+        raise StatBundleError('a space must be {"weights": [...]}')
+    return _floats(space, "weights")
 
 
 @contextmanager
 def _from_file(path):
-    """Name ``path`` in a :class:`StatBundleError`, of the same class, that
-    building objects from the file's arrays raises.  The arrays are read
-    before, so that an error of :func:`_floats` is not named twice."""
+    """The JSON object in ``path``, for a block that reads and builds from
+    it.  A :class:`StatBundleError` raised in either is raised again, of the
+    same class, naming ``path``: the one place a path enters a message."""
     try:
-        yield
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise StatBundleError(f"not valid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise StatBundleError("expected a JSON object at top level")
+        yield obj
     except StatBundleError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_density(path) -> Density:
-    obj = _load_json(path)
-    weights, values = _weights(obj, "space", path), _floats(obj, "values", path)
-    with _from_file(path):
+    with _from_file(path) as obj:
+        weights, values = _weights(obj, "space"), _floats(obj, "values")
         return Density(make_space(weights), values)
 
 
 def load_joint(path) -> Density:
-    obj = _load_json(path)
-    left, right = _weights(obj, "left", path), _weights(obj, "right", path)
-    values = _floats(obj, "values", path)
-    with _from_file(path):
+    with _from_file(path) as obj:
+        left, right = _weights(obj, "left"), _weights(obj, "right")
+        values = _floats(obj, "values")
         return Density(ProductSpace(make_space(left), make_space(right)), values)
 
 
 def load_velocity(path, joint: Density) -> FiberVector:
-    values = _floats(_load_json(path), "values", path)
-    with _from_file(path):
-        return FiberVector(joint, values, "mixture")
+    with _from_file(path) as obj:
+        return FiberVector(joint, _floats(obj, "values"), "mixture")
 
 
 def load_family(path) -> ExpFamily:
-    obj = _load_json(path)
-    left, right = _weights(obj, "left", path), _weights(obj, "right", path)
-    base1, base2 = _floats(obj, "base1", path), _floats(obj, "base2", path)
-    stats = _floats(obj, "stats", path)
-    with _from_file(path):
+    with _from_file(path) as obj:
+        left, right = _weights(obj, "left"), _weights(obj, "right")
+        base1, base2 = _floats(obj, "base1"), _floats(obj, "base2")
+        stats = _floats(obj, "stats")
         p1 = Density(make_space(left), base1)
         p2 = Density(make_space(right), base2)
         return make_expfam(p1, p2, stats)

@@ -287,6 +287,24 @@ class TestMixChart:
         with pytest.raises(sb.BoundaryError, match="leaves the model"):
             sb.mix_chart_inv(p, w)
 
+    def test_inverse_error_prints_a_plain_float(self, two_point):
+        _, p, _, _ = two_point
+        w = sb.FiberVector(p, [1.0, -1.0], "mixture")
+        with pytest.raises(sb.BoundaryError) as info:
+            sb.mix_chart_inv(p, w)
+        assert str(info.value) == (
+            "mixture chart image leaves the model: 1 + w = 0.0 at index 1")
+
+    def test_ratio_below_half_an_ulp_does_not_roundtrip(self, two_point):
+        # The limit stated in mix_chart's docstring: q/p = 1e-17 at index 1,
+        # so w = q/p - 1 rounds to -1 and the inverse leaves the model.
+        _, p, _, _ = two_point
+        q = sb.make_density(p.space, [2.0 - 1e-17, 1e-17])
+        w = sb.mix_chart(p, q)
+        assert w.values[1] == -1.0
+        with pytest.raises(sb.BoundaryError, match="1 \\+ w = 0.0 at index 1"):
+            sb.mix_chart_inv(p, w)
+
 
 class TestTransports:
     def test_identity_at_same_point(self, two_point):

@@ -39,6 +39,11 @@ class TestMakeSpace:
         with pytest.raises(sb.BoundaryError):
             sb.make_space([0.2, -0.1, 0.5])
 
+    def test_error_prints_a_plain_float(self):
+        with pytest.raises(sb.BoundaryError) as info:
+            sb.make_space([0.5, -0.5])
+        assert str(info.value) == "non-positive weight -0.5 at index 1"
+
     def test_too_short(self):
         with pytest.raises(sb.StatBundleError):
             sb.make_space([1.0])
@@ -669,6 +674,8 @@ NON_NUMERIC = {
     "objects": [Fraction(6, 5), Fraction(4, 5)],
     "booleans": [True, True],
     "complex": [1.2 + 0j, 0.8 + 0j],
+    "boolean-beside-a-float": [1.2, True],
+    "numpy-boolean-beside-a-float": [np.True_, 0.8],
 }
 ENTRY_POINTS = {
     "make_space": (lambda q, bad: sb.make_space(bad), "weights"),
@@ -680,6 +687,11 @@ ENTRY_POINTS = {
     "psi": (lambda q, bad: sb.psi(sb.make_expfam(q, q, [[[1.0, -1.0], [-1.0, 1.0]]]),
                                   bad), "theta"),
     "fd_gradient": (lambda q, bad: findiff.fd_gradient(lambda t: 0.0, bad), "theta"),
+    "make_expfam": (lambda q, bad: sb.make_expfam(q, q, bad), "statistics"),
+    "natural_gradient_flow": (
+        lambda q, bad: sb.natural_gradient_flow(
+            sb.make_expfam(q, q, [[[1.0, -1.0], [-1.0, 1.0]]]), bad, q),
+        "theta"),
 }
 
 
@@ -698,6 +710,25 @@ def test_malformed_values_raise_the_package_error(half_space):
         sb.make_density(half_space, "x")
     with pytest.raises(sb.StatBundleError, match="weights is not a rectangular"):
         sb.make_space([[0.5, 0.5], [0.5]])
+
+
+def test_an_int_beyond_int64_reads_as_in_a_file(tmp_path):
+    # A list and a JSON file are read by one rule: 2**64 becomes the float
+    # nearest to it on both paths, and an int beyond the float range raises.
+    path = tmp_path / "density.json"
+    fileio.write_json(path, {"space": {"weights": [2**64, 1.0]},
+                             "values": [2.0**-65, 0.5]})
+    weights = sb.make_space([2**64, 1.0]).weights
+    np.testing.assert_array_equal(weights, [2.0**64, 1.0])
+    assert fileio.load_density(path).space.weights.tobytes() == weights.tobytes()
+    fileio.write_json(path, {"space": {"weights": [10**400, 1.0]},
+                             "values": [1.0, 1.0]})
+    with pytest.raises(sb.StatBundleError,
+                       match="^weights holds an int too large for a float$"):
+        sb.make_space([10**400, 1.0])
+    with pytest.raises(sb.StatBundleError,
+                       match="key 'weights' holds an int too large for a float$"):
+        fileio.load_density(path)
 
 
 def test_integer_and_float_kinds_are_accepted(half_space):

@@ -97,6 +97,17 @@ class TestMakeExpFamily:
         with pytest.raises(sb.IdentifiabilityError, match="eigenvalue"):
             sb.make_expfam(p, p, [t, [[2.0, -2.0], [-2.0, 2.0]]])
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-6, 1e100])
+    def test_gram_floor_is_relative(self, half_space, scale):
+        # The verdict does not depend on the statistics' units: one
+        # statistic is accepted at any scale, and a dependent pair refused.
+        p = sb.uniform_density(half_space)
+        t = scale * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert sb.make_expfam(p, p, [t]).dim == 1
+        with pytest.raises(sb.IdentifiabilityError,
+                           match="<= 1e-10 times the largest"):
+            sb.make_expfam(p, p, [t, 2.0 * t])
+
     def test_shape_mismatch(self, half_space):
         p = sb.uniform_density(half_space)
         with pytest.raises(sb.MismatchError):

@@ -1,9 +1,11 @@
-"""The column-wise CSV writers against a per-cell reference writer.
+"""The column-wise CSV writers against a per-cell reference writer, and the
+JSON loaders' reading rule.
 
 The reference formats one cell at a time, as the writers did before they
 became column-wise; every writer must give its bytes exactly.
 """
 
+import copy
 import math
 import tracemalloc
 
@@ -193,3 +195,58 @@ def test_table_writer_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+HALF = {"weights": [0.5, 0.5]}
+JOINT = sb.make_density(sb.ProductSpace(sb.make_space([0.5, 0.5]),
+                                        sb.make_space([0.5, 0.5])),
+                        [[1.6, 0.4], [0.4, 1.6]])
+LOADERS = {
+    "density": (fileio.load_density, {"space": HALF, "values": [1.2, 0.8]}),
+    "joint": (fileio.load_joint, {"left": HALF, "right": HALF,
+                                  "values": [[1.6, 0.4], [0.4, 1.6]]}),
+    "velocity": (lambda path: fileio.load_velocity(path, JOINT),
+                 {"values": [[1.0, -1.0], [1.0, -1.0]]}),
+    "family": (fileio.load_family, {"left": HALF, "right": HALF,
+                                    "base1": [1.0, 1.0], "base2": [1.0, 1.0],
+                                    "stats": [[[1.0, -1.0], [-1.0, 1.0]]]}),
+}
+
+
+def documents_with_a_boolean(doc):
+    """(key, a copy of ``doc`` whose array at key holds ``true`` beside
+    numbers) for every array of a loader's document."""
+    for key in doc:
+        bad = copy.deepcopy(doc)
+        holder, name = (bad[key], "weights") if isinstance(doc[key], dict) else (bad, key)
+        inner = holder[name]
+        while isinstance(inner[0], list):
+            inner = inner[0]
+        inner[0] = True
+        yield name, bad
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_loaders_read_by_the_one_rule_and_name_the_file_once(tmp_path, loader):
+    load, doc = LOADERS[loader]
+    path = tmp_path / f"{loader}.json"
+    fileio.write_json(path, doc)
+    load(path)
+    for key, bad in documents_with_a_boolean(doc):
+        fileio.write_json(path, bad)
+        with pytest.raises(sb.StatBundleError) as info:
+            load(path)
+        assert str(info.value) == (
+            f"{path}: key {key!r} must hold integers or floats, not bool")
+    for text in ["{", "[]", "{}"]:  # not JSON, not an object, no keys
+        path.write_text(text)
+        with pytest.raises(sb.StatBundleError) as info:
+            load(path)
+        assert str(info.value).count(str(path)) == 1
+    wrong_shape = dict(doc, values=[1.0, 1.0, 1.0]) if "values" in doc else dict(
+        doc, stats=[[[1.0, -1.0, 0.0]]])
+    fileio.write_json(path, wrong_shape)
+    with pytest.raises(sb.MismatchError) as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert str(info.value).count(str(path)) == 1
