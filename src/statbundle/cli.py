@@ -20,7 +20,7 @@ The parser only reads text: counts parse as ``int`` and tolerances as
 ``float``, and text that is neither is an argparse usage error.  Ranges
 and defaults belong to the library.  An option left out of ``verify`` or
 ``flow`` is not passed, so it takes the library's default; the command
-line's own defaults are ``flow --iters 200`` and ``demo --seed 7 --out
+line's own defaults are those of ``demo``, ``--seed 7`` and ``--out
 statbundle-demo``.  A value the library refuses prints ``error: ...`` on
 stderr and exits 2 without writing any file.
 """
@@ -65,11 +65,6 @@ def _floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}")
 
 
-# The library's natural_gradient_flow stops at 100 iterations; the command
-# line allows 200, as the README documents.
-_FLOW_ITERS = 200
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statbundle",
@@ -103,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta0", type=_floats,
                    help="comma-separated starting parameter (default: zeros)")
     p.add_argument("--step", type=float)
-    p.add_argument("--iters", type=int, default=_FLOW_ITERS)
+    p.add_argument("--iters", type=int)
     p.add_argument("--tol", type=float,
                    help="stop when the natural step norm ||F^-1 g|| drops "
                         "below this")
@@ -240,7 +235,6 @@ def run_demo(out, seed: int) -> int:
         fixtures / "flow_target.json",
         out / "flow",
         theta0=[1.0],
-        iters=_FLOW_ITERS,
         tol=1e-7,
     )
 

@@ -623,10 +623,17 @@ def center(q: Density, f, polarity: Polarity = "exponential") -> FiberVector:
 
 def _rng(seed) -> np.random.Generator:
     """numpy's generator for ``seed``, which refuses booleans as
-    :func:`_as_int` does; generators, sequences and ``SeedSequence`` pass."""
+    :func:`_as_int` does; generators, sequences and ``SeedSequence`` pass.
+    A seed that numpy refuses raises :class:`StatBundleError` naming it."""
     if isinstance(seed, (bool, np.bool_)):
         raise StatBundleError(f"seed must be an integer, not {seed!r}")
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise StatBundleError(
+            f"seed must be a nonnegative integer or a sequence of them, "
+            f"not {seed!r}"
+        ) from None
 
 
 def random_density(space: Space, seed) -> Density:

@@ -57,6 +57,7 @@ from .core import (
     _as_float_array,
     _as_int,
     _centred_rows,
+    _freeze,
     _frozen,
     _require_density,
     _row_masses,
@@ -86,8 +87,10 @@ class ExpFamily:
     vector is, against the tolerance scaled by its magnitude.  Raises
     :class:`IdentifiabilityError` when the Gram matrix of the centered
     statistics under the base pairing has an eigenvalue at or below 1e-10
-    times its largest, a verdict that does not depend on their scale, and
-    :class:`StatBundleError` when there is no statistic.
+    times its largest, and :class:`StatBundleError` when there is no
+    statistic.  The Gram is that of the statistics divided by a power of
+    two near their largest entry, so the verdict does not depend on their
+    scale, from the smallest floats to the largest.
     """
 
     base1: Density
@@ -107,7 +110,15 @@ class ExpFamily:
             raise StatBundleError("an exponential family needs at least 1 statistic")
         base, mu = p12.values.ravel(), p12.space.weights.ravel()
         centered = _centred_rows(arr.reshape(arr.shape[0], -1), base, mu)
-        gram = (centered * (base * mu)) @ centered.T
+        # The Gram of the statistics divided by 2**e, a power of two near
+        # their largest entry: an exact division, after which it neither
+        # overflows nor underflows at any scale.  One factor is divided
+        # before the product, whose terms then sum to at most 2**e because
+        # base * mu sums to 1, and the product after.
+        shift = -math.frexp(max(centered.max(), -centered.min()))[1]
+        weighted = np.ldexp(centered, shift)
+        weighted *= base * mu
+        gram = np.ldexp(weighted @ centered.T, shift)
         smallest, largest = np.linalg.eigvalsh(gram)[[0, -1]]
         if smallest <= GRAM_EIGENVALUE_FLOOR * largest:
             raise IdentifiabilityError(
@@ -327,7 +338,7 @@ def natural_gradient_flow(
     r1: Density,
     mode: str = "left",
     step: float = 0.5,
-    iters: int = 100,
+    iters: int = 200,
     tol: float = 1e-8,
 ) -> FlowTrace:
     """Natural-gradient descent of a parameterized KL objective.
@@ -344,8 +355,10 @@ def natural_gradient_flow(
     them for the objective, the gradient and F.
 
     ``step`` and ``tol`` must be positive and finite real numbers, and
-    ``iters`` a positive integer.  Stops converged when ||F^-1 g|| drops below
-    ``tol``; otherwise the trace's ``stop_reason`` says why it stopped.
+    ``iters``, the iteration budget, a positive integer; the budget is 200
+    iterations unless given, for the library and the command line alike.
+    Stops converged when ||F^-1 g|| drops below ``tol``; otherwise the
+    trace's ``stop_reason`` says why it stopped.
     The Euclidean gradient norm is no stopping rule: on a saturated
     plateau it underflows far from the optimum, where the natural step
     stays large.
@@ -363,7 +376,7 @@ def natural_gradient_flow(
     def objective_of(g1: Density) -> float:
         return kl(r1, g1) if mode == "left" else kl(g1, r1)
 
-    theta = _frozen(_check_theta(family, theta0).copy())
+    theta = _freeze(_check_theta(family, theta0))
     g = density(family, theta)
     g1 = marginalize(g)
     objective = objective_of(g1)

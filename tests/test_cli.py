@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -314,8 +315,8 @@ class TestFlowCommand:
         assert not (tmp_path / "flow").exists()
 
     def test_omitted_options_take_the_library_defaults(self, tmp_path):
-        # Without --step and --tol the flow runs at natural_gradient_flow's
-        # own defaults; --iters is the command line's 200.
+        # Without --step, --iters and --tol the flow runs at
+        # natural_gradient_flow's own defaults.
         family = write_fixture(tmp_path, "margin_family.json")
         target = write_fixture(tmp_path, "two_point_q.json")
         out = tmp_path / "flow"
@@ -323,13 +324,27 @@ class TestFlowCommand:
                    "--out", str(out)])
         assert rc == 0
         trace = natural_gradient_flow(
-            fileio.load_family(family), [0.0], fileio.load_density(target),
-            iters=200,
+            fileio.load_family(family), [0.0], fileio.load_density(target)
         )
         fileio.write_trace_csv(tmp_path / "expected.csv", trace)
         assert (out / "trace.csv").read_bytes() == (
             tmp_path / "expected.csv"
         ).read_bytes()
+
+    def test_omitted_iters_is_the_library_budget(self, tmp_path, capsys):
+        # A step of 1e-6 cannot reach the target, so the flow runs until
+        # the budget that natural_gradient_flow gives it.
+        budget = inspect.signature(natural_gradient_flow).parameters["iters"].default
+        family = write_fixture(tmp_path, "margin_family.json")
+        target = write_fixture(tmp_path, "two_point_q.json")
+        out = tmp_path / "flow"
+        rc = main(["flow", "--family", str(family), "--target", str(target),
+                   "--step", "1e-6", "--out", str(out)])
+        assert rc == 1
+        assert (f"stop_reason=iteration_cap iterations={budget} "
+                in capsys.readouterr().out)
+        _, rows = read_csv(out / "trace.csv")
+        assert int(rows[-1][0]) == budget
 
     def test_right_mode_at_matching_margin(self, tmp_path):
         family = write_fixture(tmp_path, "margin_family.json")

@@ -780,6 +780,21 @@ class TestRandomDensity:
                            match=rf"^seed must be an integer, not {seed!r}$"):
             draw(at, seed)
 
+    @pytest.mark.parametrize("draw", [sb.random_density, sb.random_fiber],
+                             ids=["random_density", "random_fiber"])
+    @pytest.mark.parametrize("seed", [1.5, "a", -1, [1.5]],
+                             ids=["float", "str", "negative", "float-list"])
+    def test_seed_numpy_refuses_is_a_library_error(self, two_point, draw, seed):
+        # numpy raises its own TypeError or ValueError for these.
+        _, p, _, _ = two_point
+        at = p.space if draw is sb.random_density else p
+        with pytest.raises(sb.StatBundleError) as exc:
+            draw(at, seed)
+        assert str(exc.value) == (
+            f"seed must be a nonnegative integer or a sequence of them, "
+            f"not {seed!r}"
+        )
+
     @pytest.mark.parametrize(
         "seed", [np.int64(3), [3, 1], np.random.SeedSequence(3)],
         ids=["numpy-int", "sequence", "SeedSequence"],

@@ -97,7 +97,8 @@ class TestMakeExpFamily:
         with pytest.raises(sb.IdentifiabilityError, match="eigenvalue"):
             sb.make_expfam(p, p, [t, [[2.0, -2.0], [-2.0, 2.0]]])
 
-    @pytest.mark.parametrize("scale", [1e-100, 1e-6, 1e100])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e-6, 1e100,
+                                       1e160, 1e300])
     def test_gram_floor_is_relative(self, half_space, scale):
         # The verdict does not depend on the statistics' units: one
         # statistic is accepted at any scale, and a dependent pair refused.
@@ -107,6 +108,15 @@ class TestMakeExpFamily:
         with pytest.raises(sb.IdentifiabilityError,
                            match="<= 1e-10 times the largest"):
             sb.make_expfam(p, p, [t, 2.0 * t])
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_gram_neither_overflows_nor_underflows(self, scale):
+        # The Gram squares the statistics: formed from them as given, it
+        # would underflow to 0 at 1e-200, refusing every family, and
+        # overflow to inf beyond about 1e154.
+        for seed in range(5):
+            fam = random_family(3, 4, 2, seed)
+            assert sb.make_expfam(fam.base1, fam.base2, scale * fam.stats).dim == 2
 
     def test_shape_mismatch(self, half_space):
         p = sb.uniform_density(half_space)
@@ -934,7 +944,8 @@ class TestFlow:
         target = sb.random_density(fam.space.left, [seed, 3])
         for mode, expected in zip(("left", "right"), self.TRAJECTORIES[seed]):
             trace = sb.natural_gradient_flow(
-                fam, [2.0, -2.0], target, mode=mode, step=0.5, tol=1e-7
+                fam, [2.0, -2.0], target, mode=mode, step=0.5, iters=100,
+                tol=1e-7,
             )
             halvings = sum(rec.halvings for rec in trace.records)
             assert (trace.stop_reason, trace.final.iteration, halvings) == expected
