@@ -48,6 +48,7 @@ from .core import (
     _density_rows,
     _frozen,
     _require_density,
+    _require_factors,
     _require_same_base,
     _row_masses,
     product_density,
@@ -64,11 +65,14 @@ def _joint_space(q12: Density) -> ProductSpace:
 
 
 def _reference(p1: Density, p2: Density, space: ProductSpace) -> Density:
-    """The reference product p1 (x) p2, which must live on the joint ``space``."""
-    p12 = product_density(p1, p2)
-    if p12.space != space:
+    """The reference product p1 (x) p2 on the joint ``space``, whose factors
+    p1 and p2 must live on.  It is built on ``space`` itself, so its one
+    new table is its values: the weight table is the joint's.  Its values
+    and errors are those of :func:`~statbundle.core.product_density`."""
+    _require_factors(p1, p2)
+    if p1.space != space.left or p2.space != space.right:
         raise MismatchError("reference densities do not match the joint space")
-    return p12
+    return Density(space, _frozen(np.outer(p1.values, p2.values)))
 
 
 def marginalize(q12: Density) -> Density:
@@ -140,7 +144,8 @@ def condition_chart_derivatives(
     p12 = product_density(p1, p2)
     _require_same_base(v, p12)
     _require_same_base(h, p12)
-    m = np.sum(v.values * p2.values * p2.space.weights, axis=1)
+    del p12  # its values and weights, two tables that nothing below reads
+    m = _chart_means(v, p2)
     denom = 1.0 + m
     bad = np.flatnonzero(denom <= 0.0)
     if bad.size:
@@ -149,10 +154,26 @@ def condition_chart_derivatives(
             "conditioning chart image leaves the model: "
             f"1 + m = {float(denom[x])!r} at outcome {x}"
         )
-    fx = (v.values - m[:, None]) / denom[:, None]
-    m_h = np.sum(h.values * p2.values * p2.space.weights, axis=1)[:, None]
-    rows = (h.values - m_h - fx * m_h) / denom[:, None]
+    denom = denom[:, None]
+    # (h - m_h - F_x(v) * m_h) / (1 + m_v) in place, in the two buffers fx
+    # and rows, in the order of the expression.
+    fx = v.values - m[:, None]
+    fx /= denom
+    m_h = _chart_means(h, p2)[:, None]
+    fx *= m_h
+    rows = h.values - m_h
+    rows -= fx
+    del fx
+    rows /= denom
     return _centred_rows(rows, p2.values, p2.space.weights)
+
+
+def _chart_means(v: FiberVector, p2: Density) -> np.ndarray:
+    """m(x) = sum_z v(x, z) p2(z) mu2(z) of each row, one pairwise sum per
+    row of (v * p2) * mu2, formed in one buffer."""
+    terms = v.values * p2.values
+    terms *= p2.space.weights
+    return terms.sum(axis=1)
 
 
 def _conditional_kls(
@@ -197,13 +218,14 @@ def exp_decompose(p1: Density, p2: Density, q12: Density) -> ChartDecomposition:
     """
     space = _joint_space(q12)
     u12 = exp_chart(_reference(p1, p2, space), q12).values
-    q1 = marginalize(q12)
-    u1 = exp_chart(p1, q1).values
+    u1 = exp_chart(p1, marginalize(q12)).values
     cond = conditionals(q12)
-    mu2 = space.right.weights
-    logratio = np.log(cond) - np.log(p2.values)
-    u21 = _centred_rows(logratio, p2.values, mu2)
     cond_kl, average = _conditional_kls(p1, p2, space, cond)
+    # The log ratio in the buffer of log q21, once nothing reads the table.
+    logratio = np.log(cond)
+    del cond
+    logratio -= np.log(p2.values)
+    u21 = _centred_rows(logratio, p2.values, space.right.weights)
     return ChartDecomposition(u12, u1, u21, _frozen(cond_kl - average))
 
 

@@ -102,7 +102,8 @@ def _tilt(p: Density, e: np.ndarray) -> tuple[np.ndarray, float]:
 def exp_chart(p: Density, q: Density) -> FiberVector:
     """Exponential chart centered at p: log(q/p) - E_p[log(q/p)]."""
     _require_same_space(p, q)
-    logratio = np.log(q.values) - np.log(p.values)
+    logratio = np.log(q.values)
+    logratio -= np.log(p.values)
     return center(p, logratio, "exponential")
 
 
@@ -168,7 +169,9 @@ def mix_chart(p: Density, q: Density) -> FiberVector:
     raises BoundaryError: q = (2 - 1e-17, 1e-17) against uniform p on weights
     (0.5, 0.5) does not round-trip."""
     _require_same_space(p, q)
-    return FiberVector(p, _frozen(q.values / p.values - 1.0), "mixture")
+    w = q.values / p.values
+    w -= 1.0
+    return FiberVector(p, _frozen(w), "mixture")
 
 
 def mix_chart_inv(p: Density, w: FiberVector) -> Density:
@@ -202,7 +205,9 @@ def m_transport(p: Density, q: Density, w: FiberVector) -> FiberVector:
     """Mixture transport from p to q: (p/q) * w."""
     _require_same_base(w, p)
     _require_same_space(p, q)
-    return FiberVector(q, _frozen(p.values / q.values * w.values), w.polarity)
+    moved = p.values / q.values
+    moved *= w.values
+    return FiberVector(q, _frozen(moved), w.polarity)
 
 
 def score_velocity(curve: Curve, t: float) -> FiberVector:

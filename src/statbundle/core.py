@@ -22,6 +22,7 @@ here is safe to use from concurrent contexts.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -196,16 +197,18 @@ def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     (10,001 terms differ between one thread and two; 10,000 do not), so no
     mass depends on the BLAS thread count.
 
-    Every mass goes through here: the density and fiber checks, the total
-    mass of a tilt, of a cumulant's base and of a random density, the
-    margin and the conditionals of :mod:`~statbundle.bayes`, the derivative
-    of marginalization, and the row sums of a family's moments.  So the
-    margin is exactly the set of masses that normalise the conditionals.
-    Other sums keep their own form, because tests pin their bits: the
-    means subtracted in centring (:func:`_centred_rows` and the m and m_h
-    of ``condition_chart_derivatives``), the KL rows, :func:`_expect` and
-    the rescaled path of :func:`_fiber_rows` stay pairwise ``sum``s, and
-    the statistics' combination one matrix-vector product.
+    Every mass goes through here: the density and fiber checks (the fiber
+    residual through :func:`_product_masses`, which forms its terms one of
+    these blocks at a time), the total mass of a tilt, of a cumulant's base
+    and of a random density, the margin and the conditionals of
+    :mod:`~statbundle.bayes`, the derivative of marginalization, and the
+    row sums of a family's moments.  So the margin is exactly the set of
+    masses that normalise the conditionals.  Other sums keep their own
+    form, because tests pin their bits: the means subtracted in centring
+    (:func:`_centred_rows` and the m and m_h of
+    ``condition_chart_derivatives``), the KL rows, :func:`_expect` and the
+    rescaled path of :func:`_fiber_rows` stay pairwise ``sum``s, and the
+    statistics' combination one matrix-vector product.
     """
     n = rows.shape[-1]
     if n > _MASS_BLOCK:
@@ -224,6 +227,36 @@ def _row_masses(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if rows.ndim == 1:
         return np.dot(rows, weights)
     return np.matmul(rows[..., None, :], weights[..., :, None])[..., 0, 0]
+
+
+def _product_masses(rows: np.ndarray, base: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``_row_masses(rows * base, mu)`` to the last bit, without forming
+    ``rows * base`` whole: the centring residual of each row of a (k, n)
+    block, ``base`` one (n,) density or a (k, n) block of them, against the
+    1-d weights ``mu``.
+
+    A block of at most ``_MASS_BLOCK`` = 10,000 cells is that one
+    expression.  A larger one is formed in the blocks that
+    :func:`_row_masses` sums: a group of whole rows of at most 10,000 cells
+    at a time, or a row of more than 10,000 terms one 10,000-term segment
+    at a time, whose dots are added from the first to the last.  So no
+    product holds more than 10,000 cells.
+    """
+    k, n = rows.shape
+    if k * n <= _MASS_BLOCK:
+        return _row_masses(rows * base, mu)
+    base = np.broadcast_to(base, rows.shape)
+    step = max(1, _MASS_BLOCK // n)
+    segments = range(0, n, _MASS_BLOCK)
+    masses = np.empty(k)
+    for a in range(0, k, step):
+        rows_a, base_a = rows[a:a + step], base[a:a + step]
+        masses[a:a + step] = functools.reduce(operator.add, (
+            _row_masses(rows_a[:, s:s + _MASS_BLOCK] * base_a[:, s:s + _MASS_BLOCK],
+                        mu[s:s + _MASS_BLOCK])
+            for s in segments
+        ))
+    return masses
 
 
 def _row_label(rows: np.ndarray, x: int) -> str:
@@ -286,11 +319,16 @@ def _fiber_rows(base: np.ndarray, mu: np.ndarray, rows: np.ndarray) -> np.ndarra
     rules of :class:`FiberVector`, which checks its values as a one-row
     block: finite entries and a centring residual within the scaled
     tolerance.  Returns the block.
+
+    The residuals are summed by :func:`_product_masses`, which forms the
+    terms ``rows * base`` a block of at most 10,000 cells at a time, so the
+    passing path allocates nothing of the block's size.  A failing row's
+    bound is formed from the rows that fail.
     """
     # The passing path in one test: a non-finite entry makes its row's
     # residual NaN or infinite, which fails it.  Anything else takes the
     # checks below, in their order.
-    residual = np.abs(_row_masses(rows * base, mu))
+    residual = np.abs(_product_masses(rows, base, mu))
     if residual.max() <= FIBER_ATOL:
         return rows
     if not np.isfinite(rows).all():
@@ -565,8 +603,8 @@ def uniform_density(space: Space) -> Density:
     return Density(space, _frozen(np.full(w.shape, 1.0 / float(w.sum()))))
 
 
-def product_density(p1: Density, p2: Density) -> Density:
-    """The independent joint p1 (x) p2 on the product space."""
+def _require_factors(p1, p2) -> None:
+    """Both operands are densities on factor spaces, as in a product."""
     for p in (p1, p2):
         if not isinstance(p, Density):
             raise MismatchError(
@@ -575,13 +613,20 @@ def product_density(p1: Density, p2: Density) -> Density:
             )
         if isinstance(p.space, ProductSpace):
             raise MismatchError("product_density expects densities on factor spaces")
+
+
+def product_density(p1: Density, p2: Density) -> Density:
+    """The independent joint p1 (x) p2 on the product space."""
+    _require_factors(p1, p2)
     space = ProductSpace(p1.space, p2.space)
     return Density(space, _frozen(np.outer(p1.values, p2.values)))
 
 
 def _expect(q: Density, arr: np.ndarray) -> float:
     """E_q[arr] for a finite array of q's shape, unchecked."""
-    return float((arr.ravel() * q.values.ravel() * q.space.weights.ravel()).sum())
+    terms = arr.ravel() * q.values.ravel()
+    terms *= q.space.weights.ravel()
+    return float(terms.sum())
 
 
 def expect(q: Density, f) -> float:

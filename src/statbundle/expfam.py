@@ -84,13 +84,17 @@ class ExpFamily:
     buffer, so later writes to the array passed in do not reach the family.
     Each statistic is centred as a row by
     :func:`~statbundle.core._centred_rows` and checked, as every fiber
-    vector is, against the tolerance scaled by its magnitude.  Raises
-    :class:`IdentifiabilityError` when the Gram matrix of the centered
-    statistics under the base pairing has an eigenvalue at or below 1e-10
-    times its largest, and :class:`StatBundleError` when there is no
-    statistic.  The Gram is that of the statistics divided by a power of
-    two near their largest entry, so the verdict does not depend on their
-    scale, from the smallest floats to the largest.
+    vector is, against the tolerance scaled by its magnitude; the check
+    sums a statistic's residual one row, and 10,000 terms, at a time.
+    Raises :class:`IdentifiabilityError` when the Gram matrix of the
+    centered statistics under the base pairing has an eigenvalue at or
+    below 1e-10 times its largest, and :class:`StatBundleError` when there
+    is no statistic.  The Gram is that of the statistics divided by a power
+    of two near their largest entry, so the verdict does not depend on
+    their scale, from the smallest floats to the largest.  It is formed one
+    statistic at a time in one buffer of a statistic's size, so that the
+    constructor holds the statistics, the base product, its weight table
+    and that buffer.
     """
 
     base1: Density
@@ -114,11 +118,17 @@ class ExpFamily:
         # their largest entry: an exact division, after which it neither
         # overflows nor underflows at any scale.  One factor is divided
         # before the product, whose terms then sum to at most 2**e because
-        # base * mu sums to 1, and the product after.
+        # base * mu sums to 1, and the product after.  Column j is formed
+        # from statistic j alone, in one buffer of a statistic's size.
         shift = -math.frexp(max(centered.max(), -centered.min()))[1]
-        weighted = np.ldexp(centered, shift)
-        weighted *= base * mu
-        gram = np.ldexp(weighted @ centered.T, shift)
+        gram = np.empty((len(centered), len(centered)))
+        weighted = np.empty_like(base)
+        for j, stat in enumerate(centered):
+            np.ldexp(stat, shift, out=weighted)
+            weighted *= base
+            weighted *= mu
+            gram[:, j] = centered @ weighted
+        gram = np.ldexp(gram, shift)
         smallest, largest = np.linalg.eigvalsh(gram)[[0, -1]]
         if smallest <= GRAM_EIGENVALUE_FLOOR * largest:
             raise IdentifiabilityError(
@@ -203,8 +213,11 @@ def joint_velocity(family: ExpFamily, theta, thetadot) -> FiberVector:
     theta = _check_theta(family, theta)
     thetadot = _check_theta(family, thetadot)
     g = density(family, theta)
+    # The moments before theta . T, so that their temporary and the
+    # velocity's buffer are not alive together.
+    mean = float(thetadot @ _moments(family, g)[1])
     vals = _combine(family, thetadot)
-    vals -= float(thetadot @ _moments(family, g)[1])
+    vals -= mean
     return FiberVector(g, _frozen(vals), "exponential")
 
 
@@ -282,6 +295,15 @@ def kl_theta_gradient_right(family: ExpFamily, theta, r1: Density) -> np.ndarray
     g_j = -sum_x E_G[T_j - E_G[T_j] | X = x] * log(r1/G1)(x) * G1(x) * mu1(x).
     """
     return _theta_gradient(family, theta, r1, "right")
+
+
+def _norm(x: np.ndarray, e: int) -> float:
+    """2**e times the 2-norm of the 1-d ``x``, as np.linalg.norm computes
+    it for a float vector, or inf where that overflows."""
+    try:
+        return math.ldexp(math.sqrt(float(x @ x)), e)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,17 +406,28 @@ def natural_gradient_flow(
     iteration, trial_step, halvings = 0, step, 0
     while True:
         table, grad = _kl_gradient(family, g, g1, r1, mode)
+        # F squares the scale of the table.  Where the table's sum of squares
+        # leaves a range in which neither F nor a norm can overflow or
+        # underflow, F, g and the norms are formed from the table and g
+        # divided by 2**e, a power of two near the table's largest entry,
+        # and the direction is multiplied back.  The divisions are exact,
+        # so the two forms agree where both can be computed; inside the
+        # range, e = 0.
+        e = 0
+        if not 2.0**-512 <= float(np.vdot(table, table)) <= 2.0**512:
+            e = math.frexp(max(float(table.max()), -float(table.min())))[1]
+        if e:
+            table, grad = np.ldexp(table, -e), np.ldexp(grad, -e)
         fisher = (table * (g1.values * mu1)) @ table.T
         try:
             direction = np.linalg.solve(fisher, grad)
         except np.linalg.LinAlgError:
             direction = np.full_like(grad, np.nan)  # stops as "boundary"
-        # The 2-norm as np.linalg.norm computes it for a 1-d float array.
-        step_norm = math.sqrt(float(direction @ direction))
+        step_norm = _norm(direction, -e)
         records.append(
             FlowRecord(
-                iteration, theta, objective, math.sqrt(float(grad @ grad)),
-                trial_step, halvings, step_norm,
+                iteration, theta, objective, _norm(grad, e), trial_step,
+                halvings, step_norm,
             )
         )
         if step_norm < tol:
@@ -403,6 +436,8 @@ def natural_gradient_flow(
             return FlowTrace(records, mode, "boundary")
         if iteration == iters:
             return FlowTrace(records, mode, "iteration_cap")
+        if e:  # finite, as its norm is
+            direction = np.ldexp(direction, -e)
 
         iteration += 1
         trial_step, halvings, increases = step, 0, 0

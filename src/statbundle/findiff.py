@@ -46,4 +46,6 @@ def fd_vector_curve(fn: Callable[[float], Sequence[float]], t: float) -> np.ndar
         raise ArithmeticError(
             f"non-finite probe evaluation near t={t} with h={STEP}"
         )
-    return (hi - lo) / (2.0 * STEP)
+    slope = hi - lo
+    slope /= 2.0 * STEP
+    return slope

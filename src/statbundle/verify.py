@@ -139,9 +139,10 @@ def _densities(rng: np.random.Generator, n: int, k: int) -> tuple[Density, ...]:
 def _random_family(
     rng: np.random.Generator, n1: int, n2: int
 ) -> tuple[ExpFamily, np.ndarray]:
-    space = _random_product(rng, n1, n2)
-    p1 = random_density(space.left, rng)
-    p2 = random_density(space.right, rng)
+    # The family builds its own product space from the two factors.
+    left, right = _random_space(rng, n1), _random_space(rng, n2)
+    p1 = random_density(left, rng)
+    p2 = random_density(right, rng)
     d = int(rng.integers(1, 4))
     while True:
         try:
@@ -307,15 +308,24 @@ def _check_chart_pipeline(rng, size: tuple[int, int]) -> float:
     v = random_fiber(q12, rng, "mixture")
     p1 = random_density(space.left, rng)
     p2 = random_density(space.right, rng)
+    # Each table is dropped once the next step has read it.
     p12 = product_density(p1, p2)
     v0 = mix_chart(p12, q12)
     h = m_transport(q12, p12, v)
+    del p12
     in_chart = condition_chart_derivatives(p1, p2, v0, h)
+    del v0, h
     # The mixture transport (p2 / q21(.|x)) * w of m_transport, for every x
-    # at once; each moved row must be a fiber vector at its conditional.
+    # at once, in the buffer of p2 / q21; each moved row must be a fiber
+    # vector at its conditional.
     cond = conditionals(q12)
-    moved = _fiber_rows(cond, space.right.weights, p2.values / cond * in_chart)
-    return _maxabs(moved - conditional_derivatives(q12, v))
+    moved = p2.values / cond
+    moved *= in_chart
+    del in_chart
+    moved = _fiber_rows(cond, space.right.weights, moved)
+    del cond
+    moved -= conditional_derivatives(q12, v)
+    return _maxabs(moved)
 
 
 def _split_residual(rng, size: tuple[int, int], split: Callable) -> float:
@@ -350,14 +360,22 @@ def _check_velocities_fd(rng, size: tuple[int, int]) -> float:
         return density(family, theta + t * thetadot)
 
     g = member(0.0)
-    return _maxabs(
+    # Each side is reduced as it is computed, so that the tables of one
+    # are gone before those of the next are made, and the probe members
+    # are dropped once the last numeric side has read them.
+    joint = _maxabs(
         joint_velocity(family, theta, thetadot).values
-        - score_velocity(Curve(at=member), 0.0).values,
-        marginal_velocity(family, theta, thetadot).values
-        - _fd_marginal_derivative(g, member),
-        conditional_velocities(family, theta, thetadot)
-        - _fd_conditional_derivatives(g, member),
+        - score_velocity(Curve(at=member), 0.0).values
     )
+    margin = _maxabs(
+        marginal_velocity(family, theta, thetadot).values
+        - _fd_marginal_derivative(g, member)
+    )
+    numeric = _fd_conditional_derivatives(g, member)
+    del g
+    member.cache_clear()
+    numeric -= conditional_velocities(family, theta, thetadot)
+    return _maxabs(joint, margin, numeric)
 
 
 def _check_kl_theta_fd(rng, size: tuple[int, int]) -> float:

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import statbundle as sb
 from statbundle import fileio, findiff
-from statbundle.core import _density_rows, _fiber_rows, _row_masses
+from statbundle.core import _density_rows, _fiber_rows, _product_masses, _row_masses
 
 from conftest import traced_peak
 
@@ -366,6 +366,22 @@ def test_long_rows_are_summed_in_blocks_of_10000(n):
         assert _row_masses(row, weights).tobytes() == expected.tobytes()
         assert _row_masses(table[i : i + 1], weights)[0] == expected
         assert masses[i] == expected
+
+
+@pytest.mark.parametrize(
+    "k, n",
+    [(k, n) for k in (1, 2, 3, 4) for n in (3, 10_000, 10_001, 25_000, 60_000)]
+    + [(37, 271), (200, 300)],  # groups of whole rows, the last one shorter
+)
+def test_blocked_residuals_are_the_masses_of_the_product(k, n):
+    # The fiber check forms rows * base a block of at most 10,000 cells at
+    # a time; every residual keeps the bits of the product summed whole.
+    rng = np.random.default_rng([n, k])
+    weights = rng.uniform(0.2, 2.0, n)
+    rows = rng.standard_normal((k, n))
+    for base in (rng.random(n), rng.random((k, n))):
+        expected = _row_masses(rows * base, weights)
+        assert _product_masses(rows, base, weights).tobytes() == expected.tobytes()
 
 
 # The joint masses of the 200x300 verify instances and of a 200x200 flow

@@ -318,12 +318,85 @@ def family_200x200(seed):
     return fam, target
 
 
+def wide_operations():
+    """Each rewritten large-table operation, as a call on seeded inputs on
+    one 200x300 product space: factor densities p1 and p2, joints q and r,
+    a velocity v and a mixture vector w at q, chart values at p1 (x) p2 and
+    a d = 3 family."""
+    rng = np.random.default_rng(44)
+    space = sb.ProductSpace(sb.make_space(rng.uniform(0.2, 2.0, 200)),
+                            sb.make_space(rng.uniform(0.2, 2.0, 300)))
+    p1, p2 = sb.random_density(space.left, rng), sb.random_density(space.right, rng)
+    q, r = sb.random_density(space, rng), sb.random_density(space, rng)
+    v, w = sb.random_fiber(q, rng), sb.random_fiber(q, rng, "mixture")
+    p12 = sb.product_density(p1, p2)
+    v0, h = sb.mix_chart(p12, q), sb.m_transport(q, p12, w)
+    raw = rng.standard_normal((3, 200, 300))
+    fam = sb.make_expfam(p1, p2, raw)
+    theta, thetadot = rng.uniform(-1.0, 1.0, (2, 3))
+    f = rng.standard_normal((200, 300))
+    return {
+        "make_expfam": lambda: sb.make_expfam(p1, p2, raw),
+        "condition_chart_derivatives":
+            lambda: sb.condition_chart_derivatives(p1, p2, v0, h),
+        "conditional_velocities": lambda: sb.conditional_velocities(fam, theta, thetadot),
+        "kl_chain": lambda: sb.kl_chain(p1, p2, q),
+        "exp_decompose": lambda: sb.exp_decompose(p1, p2, q),
+        "joint_velocity": lambda: sb.joint_velocity(fam, theta, thetadot),
+        "conditional_derivatives": lambda: sb.conditional_derivatives(q, v),
+        "exp_chart": lambda: sb.exp_chart(q, r),
+        "random_fiber": lambda: sb.random_fiber(q, 1),
+        "center": lambda: sb.center(q, f),
+        "e_transport": lambda: sb.e_transport(q, r, v),
+        "mix_chart": lambda: sb.mix_chart(q, r),
+        "m_transport": lambda: sb.m_transport(q, r, w),
+    }
+
+
 class TestTransientMemory:
     # A member is computed in the one full-size buffer that holds theta . T,
     # which the Density adopts; psi holds theta . T and its tilt, cumulant
     # the tilt alone.  One more full-size copy or temporary brings the peak
     # over the bound.
     FULL = 200 * 200 * 8
+
+    # Peaks at 200x300 in tables of 480,000 bytes, the result included.
+    # A fiber check sums its residual 10,000 cells at a time, so it adds no
+    # table; the rest is the operation's own arithmetic in place.
+    # make_expfam: the base product, its weights, the d = 3 centred
+    #   statistics and one Gram buffer.
+    # condition_chart_derivatives: two buffers for the chart arithmetic,
+    #   then the centred result beside the uncentred rows.
+    # conditional_velocities: G, theta . T, the conditionals and the result.
+    # kl_chain: p1 (x) p2 on the joint's space, and two tables inside kl.
+    # exp_decompose: the joint chart's reference, log ratio and result; then
+    #   that chart, the conditionals and their logarithm.
+    # joint_velocity: G and the velocity, the moments' temporary first.
+    # conditional_derivatives, exp_chart, random_fiber: an input table
+    #   beside the centred result.
+    # center, e_transport, mix_chart, m_transport: the result alone.
+    WIDE = 200 * 300 * 8
+    WIDE_BOUNDS = {
+        "make_expfam": 6.5,
+        "condition_chart_derivatives": 2.5,
+        "conditional_velocities": 4.5,
+        "kl_chain": 3.5,
+        "exp_decompose": 3.5,
+        "joint_velocity": 2.5,
+        "conditional_derivatives": 2.5,
+        "exp_chart": 2.5,
+        "random_fiber": 2.5,
+        "center": 1.5,
+        "e_transport": 1.5,
+        "mix_chart": 1.5,
+        "m_transport": 1.5,
+    }
+
+    @pytest.mark.parametrize("name", sorted(WIDE_BOUNDS))
+    def test_wide_operation(self, name):
+        call = wide_operations()[name]
+        call()  # numpy's lazy imports happen outside the trace
+        assert traced_peak(call) <= self.WIDE_BOUNDS[name] * self.WIDE
 
     def test_density(self):
         fam, _ = family_200x200(31)

@@ -5,15 +5,17 @@ unchanged; scaling the first factor's weights by c and its densities by
 1/c leaves every integral unchanged; adding a per-row offset to a fiber
 vector leaves every conditioning derivative unchanged.  Each test draws
 small spaces and checks the library's results, with no rejection, at
-scales far beyond those of the worked examples.  The flow is not checked
-here: its ``tol`` is in units of theta, so it is not scale-free.
+scales far beyond those of the worked examples.  The flow's ``tol`` is in
+units of theta, so a flow on scaled statistics takes a scaled ``tol``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statbundle as sb
+import test_expfam
 
 _SEEDS = st.integers(0, 2**32 - 1)
 
@@ -49,6 +51,26 @@ def test_scaled_statistics_give_the_same_members(seed, exponent, d):
     # is small; its rounding is relative to the largest |theta . T|.
     largest = np.abs(np.tensordot(theta, unit.stats, 1)).max()
     assert abs(sb.psi(scaled, theta / s) - sb.psi(unit, theta)) <= 1e-13 * largest
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e200, 1e300])
+def test_scaled_statistics_keep_the_flows(s):
+    # T -> s T, theta0 -> theta0 / s and tol -> tol / s: every pinned flow
+    # keeps its stop reason, final iteration and halvings.  The Fisher
+    # matrix squares s, so formed from the statistics as given it would
+    # underflow to 0 at 1e-200, stopping every flow at the boundary, and
+    # overflow at 1e200.
+    for seed, expected in test_expfam.TestFlow.TRAJECTORIES.items():
+        unit = test_expfam.random_family(6, 5, 2, seed)
+        fam = sb.make_expfam(unit.base1, unit.base2, s * unit.stats)
+        target = sb.random_density(fam.space.left, [seed, 3])
+        for mode, pinned in zip(("left", "right"), expected):
+            trace = sb.natural_gradient_flow(
+                fam, np.array([2.0, -2.0]) / s, target, mode=mode, step=0.5,
+                iters=100, tol=1e-7 / s,
+            )
+            halvings = sum(rec.halvings for rec in trace.records)
+            assert (trace.stop_reason, trace.final.iteration, halvings) == pinned
 
 
 @given(seed=_SEEDS,

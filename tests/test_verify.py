@@ -8,6 +8,8 @@ import statbundle as sb
 from statbundle import verify
 from statbundle.verify import CHECKS, format_report, run_verification
 
+from conftest import traced_peak
+
 
 def test_small_run_passes_everything():
     report = run_verification(seed=5, trials=2, sizes=[(2, 2), (3, 4)])
@@ -309,3 +311,19 @@ def test_kl_theta_check_evaluates_each_probe_once(monkeypatch, d):
         monkeypatch, verify._check_kl_theta_fd, 3, _seed_with_dim(d, 3)
     )
     assert calls == 2 + 2 * d
+
+
+# Peaks of one 200x300 instance, in tables of 480,000 bytes.  The pipeline
+# drops each table once the next step has read it; the velocity check
+# reduces each side as it computes it and drops its three probe members
+# before the last library call, on top of a d = 3 family's five tables.
+@pytest.mark.parametrize(
+    "name, bound",
+    [("conditional-chart-pipeline", 10.0), ("expfam-velocities-fd", 12.5)],
+)
+def test_large_instance_peak(name, bound):
+    def run():
+        run_verification(names=[name], sizes=[(200, 300)], trials=1)
+
+    run()  # numpy's lazy imports happen outside the trace
+    assert traced_peak(run) <= bound * 200 * 300 * 8
