@@ -624,9 +624,7 @@ def product_density(p1: Density, p2: Density) -> Density:
 
 def _expect(q: Density, arr: np.ndarray) -> float:
     """E_q[arr] for a finite array of q's shape, unchecked."""
-    terms = arr.ravel() * q.values.ravel()
-    terms *= q.space.weights.ravel()
-    return float(terms.sum())
+    return float((arr.ravel() * q.values.ravel() * q.space.weights.ravel()).sum())
 
 
 def expect(q: Density, f) -> float:

@@ -406,18 +406,13 @@ def natural_gradient_flow(
     iteration, trial_step, halvings = 0, step, 0
     while True:
         table, grad = _kl_gradient(family, g, g1, r1, mode)
-        # F squares the scale of the table.  Where the table's sum of squares
-        # leaves a range in which neither F nor a norm can overflow or
-        # underflow, F, g and the norms are formed from the table and g
-        # divided by 2**e, a power of two near the table's largest entry,
-        # and the direction is multiplied back.  The divisions are exact,
-        # so the two forms agree where both can be computed; inside the
-        # range, e = 0.
-        e = 0
-        if not 2.0**-512 <= float(np.vdot(table, table)) <= 2.0**512:
-            e = math.frexp(max(float(table.max()), -float(table.min())))[1]
-        if e:
-            table, grad = np.ldexp(table, -e), np.ldexp(grad, -e)
+        # F squares the scale of the table, so F, g and the norms are formed
+        # from the table and g divided by 2**e, a power of two near the
+        # table's largest entry, and the direction is multiplied back.  The
+        # divisions are exact, so the bits are those of the plain form
+        # wherever that form neither overflows nor underflows.
+        e = math.frexp(max(float(table.max()), -float(table.min())))[1]
+        table, grad = np.ldexp(table, -e), np.ldexp(grad, -e)
         fisher = (table * (g1.values * mu1)) @ table.T
         try:
             direction = np.linalg.solve(fisher, grad)
@@ -436,8 +431,7 @@ def natural_gradient_flow(
             return FlowTrace(records, mode, "boundary")
         if iteration == iters:
             return FlowTrace(records, mode, "iteration_cap")
-        if e:  # finite, as its norm is
-            direction = np.ldexp(direction, -e)
+        direction = np.ldexp(direction, -e)  # finite, as its norm is
 
         iteration += 1
         trial_step, halvings, increases = step, 0, 0

@@ -46,6 +46,4 @@ def fd_vector_curve(fn: Callable[[float], Sequence[float]], t: float) -> np.ndar
         raise ArithmeticError(
             f"non-finite probe evaluation near t={t} with h={STEP}"
         )
-    slope = hi - lo
-    slope /= 2.0 * STEP
-    return slope
+    return (hi - lo) / (2.0 * STEP)
